@@ -1,8 +1,8 @@
 // Ablation A12 — backpressure vs FIFO forwarding under a hotspot link.
 //
 // The same multicast trees carry the same paced packet stream twice:
-// once through the legacy FIFO uplink plane and once through the
-// backpressure data plane (src/dataplane). Uncongested, the two must
+// once through the FIFO uplink plane (kShared) and once in the
+// forwarder's kBackpressure mode (src/dataplane). Uncongested, the two must
 // agree bit for bit — backpressure with shallow queues IS the FIFO
 // schedule (tests/dataplane_test.cpp pins this). Then the busiest relay
 // has its uplink cut to 25% and the comparison repeats: FIFO serializes
@@ -48,29 +48,29 @@ int main(int argc, char** argv) {
   // Paced source: slow enough that the intact tree carries it without
   // queueing (so FIFO and backpressure agree exactly), fast enough that
   // a quartered hotspot uplink cannot keep up on its own.
-  dataplane::TrafficSpec traffic;
+  dataplane::GroupTraffic traffic;
   traffic.packet_bytes = 1250;
   traffic.num_packets = 96;
   traffic.source_rate_kbps = 60.0;
 
-  struct Mode {
-    const char* name;
-    bool backpressure;
+  const dataplane::SchedMode modes[] = {dataplane::SchedMode::kShared,
+                                        dataplane::SchedMode::kBackpressure};
+  auto mode_name = [](dataplane::SchedMode m) {
+    return m == dataplane::SchedMode::kBackpressure ? "backpressure" : "fifo";
   };
-  const Mode modes[] = {{"fifo", false}, {"backpressure", true}};
   const char* strategies[] = {"camchord", "camkoorde"};
   const double hotspots[] = {1.0, 0.25};
 
   std::vector<StreamCellSpec> cells;
   for (const char* key : strategies) {
     for (double h : hotspots) {
-      for (const Mode& m : modes) {
+      for (dataplane::SchedMode m : modes) {
         StreamCellSpec cell;
         cell.strategy = key;
         cell.prebuilt = &dir;
         cell.seed = scale.seed;
         cell.traffic = traffic;
-        cell.fwd.backpressure = m.backpressure;
+        cell.fwd.mode = m;
         cell.hotspot_factor = h;
         cells.push_back(cell);
       }
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
     std::cout << "{\"rows\":[";
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const StreamCellResult& r = results[i];
-      const char* mode = cells[i].fwd.backpressure ? "backpressure" : "fifo";
+      const char* mode = mode_name(cells[i].fwd.mode);
       if (i > 0) std::cout << ",";
       std::cout << "{\"system\":\"" << strategy::registry().display_name(cells[i].strategy)
                 << "\",\"hotspot\":" << cells[i].hotspot_factor
@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
     const StreamCellResult& r = results[i];
     t.add_row({strategy::registry().display_name(cells[i].strategy),
                fmt(cells[i].hotspot_factor, 2),
-               cells[i].fwd.backpressure ? "backpressure" : "fifo",
+               mode_name(cells[i].fwd.mode),
                fmt(r.stats.session.session_rate_kbps, 1),
                fmt(r.analytic_kbps, 1),
                std::to_string(r.stats.delegated_copies),

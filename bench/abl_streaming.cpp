@@ -10,10 +10,10 @@
 
 #include "camchord/oracle.h"
 #include "camkoorde/oracle.h"
+#include "dataplane/forwarder.h"
 #include "experiments/figures.h"
 #include "experiments/table.h"
 #include "multicast/metrics.h"
-#include "stream/streaming.h"
 #include "workload/population.h"
 
 int main(int argc, char** argv) {
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
            "first_pkt_ms", "complete_ms"});
 
   ConstantLatency lat(10.0);
-  StreamConfig cfg;
+  dataplane::GroupTraffic cfg;
   cfg.num_packets = 48;
 
   for (double p : {25.0, 50.0, 100.0}) {
@@ -52,7 +52,8 @@ int main(int argc, char** argv) {
     };
     for (const Case& c : cases) {
       double analytic = tree_throughput_kbps(c.tree, bw);
-      StreamResult r = stream_over_tree(c.tree, bw, lat, cfg);
+      const dataplane::SessionStats r =
+          dataplane::stream_over_tree(c.tree, bw, lat, cfg);
       t.add_row({c.name, fmt(p, 0), fmt(analytic, 1),
                  fmt(r.session_rate_kbps, 1), fmt(r.max_first_packet_ms, 0),
                  fmt(r.completion_ms, 0)});

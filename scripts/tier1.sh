@@ -19,12 +19,12 @@ ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
 
 echo
 echo "== tier-1: ASan+UBSan 2-shard serial-equivalence smoke =="
-# The sharded engine's determinism contract under ASan: the ShardedAsync
-# suite above already replays serial == 1-shard == 2-shard == 4-shard on
-# the full async stack; this re-runs the chord equivalence case alone so
-# a contract break fails fast with its own banner.
+# The sharded engine's determinism contract under ASan: the ShardedCast
+# suite above already replays serial == 1-shard == 2-shard == 8-shard
+# oracle casts; this re-runs the chord equivalence case alone so a
+# contract break fails fast with its own banner.
 ctest --test-dir build-asan --output-on-failure \
-  -R 'ShardedAsync.CamChordSerialEquivalenceAcrossShardCounts'
+  -R 'ShardedCast.CamChordMatchesSerialAcrossShardCounts'
 
 echo
 echo "== tier-1: ASan+UBSan chaos smoke (camsim chaos) =="
@@ -101,12 +101,12 @@ ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
 echo
 echo "== tier-1: TSan sharded engine (cross-shard message passing) =="
 # Worker lanes + barrier hand-offs under ThreadSanitizer: the ShardGroup
-# window loop, the sharded oracle casts, and the sharded async stack all
-# push events across shard boundaries here. An outbox touched outside
+# window loop and the sharded oracle casts push events across shard
+# boundaries here. An outbox touched outside
 # the barrier, or any cross-lane state not separated by the generation
 # protocol, is a TSan race on this grid.
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'ShardTeam|ShardGroup|ShardedCast|ShardedAsync'
+  -R 'ShardTeam|ShardGroup|ShardedCast'
 
 echo
 echo "tier-1 OK"

@@ -6,7 +6,7 @@
 // (src/dataplane/forwarder.h):
 //
 //   * FIFO view — the copy with the lowest global enqueue stamp across
-//     all bins. Serving this view exclusively reproduces the legacy
+//     all bins. Serving this view exclusively reproduces the
 //     single-FIFO uplink of the paper's Section 4.3 model exactly.
 //   * pressure view — the head of the deepest bin (most queued bytes).
 //     Backpressure mode serves this view when the depth gradient to the
@@ -30,15 +30,17 @@ namespace cam::dataplane {
 
 /// One queued transmission duty: deliver packet `pkt` to node `dest`
 /// (a dense forwarder index). `order` is the global enqueue stamp that
-/// defines legacy FIFO service order; `delegated` marks copies received
+/// defines FIFO service order; `delegated` marks copies received
 /// from a congested peer, which must not be delegated onward (no
-/// ping-pong).
+/// ping-pong). `slot` is `dest`'s member slot in the packet's group, so
+/// the arrival needs no lookup.
 struct QueuedCopy {
   PacketRef pkt = kNullPacket;
   std::uint32_t dest = 0;
   std::uint64_t order = 0;
   SimTime enqueue_ms = 0;
   bool delegated = false;
+  std::uint32_t slot = 0;
 };
 
 /// FIFO ring buffer of copies for one (neighbor, stream) bin.

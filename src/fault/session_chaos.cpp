@@ -440,7 +440,7 @@ SessionChaosReport run_session_chaos(const SessionChaosConfig& cfg,
   if (!traffic.empty()) {
     const ConstantLatency latency(1.0);
     session::MultiGroupConfig mcfg{cfg.mode};
-    mcfg.repair_deadline_ms = cfg.repair_deadline_ms;
+    mcfg.deadline_ms = cfg.repair_deadline_ms;
     // The forwarder snapshots the trees NOW — before any mid-stream
     // crash surgery below — so it streams the pre-crash topology and
     // learns about the failure only through the FailoverScript, exactly

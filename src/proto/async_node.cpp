@@ -979,44 +979,29 @@ LookupResult AsyncOverlayNet::lookup_blocking(Id from, Id target) {
   return out;
 }
 
-bool AsyncOverlayNet::start_multicast(Id source, std::uint64_t stream) {
-  auto it = nodes_.find(source);
-  if (it == nodes_.end() || !it->second->alive()) return false;
+MulticastTree AsyncOverlayNet::multicast(Id source) {
+  MulticastTree tree(source);
+  if (!running(source)) return tree;  // no stream id consumed
+  active_tree_ = &tree;
+  active_stream_ = next_stream();
+  deliveries_ = 0;
   tel_.count("mc.multicasts");
-  it->second->on_multicast(
-      source, MulticastData{stream, ring_.sub(source, 1), 0,
+  nodes_.at(source)->on_multicast(
+      source, MulticastData{active_stream_, ring_.sub(source, 1), 0,
                             cfg_.multicast_payload_bytes});
-  return true;
-}
-
-SimTime AsyncOverlayNet::quiesce_slice_ms() const {
-  // Poll slices sized above one hop + dup-check round trip.
-  return cfg_.rpc_timeout_ms * 2;
-}
-
-int AsyncOverlayNet::quiesce_rounds() const {
-  // With repair on, "quiet" must outlast the slowest silent path — a
-  // full retransmission tail (give-up + re-delegation) or one stabilize
+  // Poll slices sized above one hop + dup-check round trip. With repair
+  // on, "quiet" must outlast the slowest silent path — a full
+  // retransmission tail (give-up + re-delegation) or one stabilize
   // round of anti-entropy — or the tree would be snapshotted while a
   // repair is still in flight.
+  const SimTime slice = cfg_.rpc_timeout_ms * 2;
   int quiet_needed = 3;
   if (cfg_.repair) {
-    const SimTime slice = quiesce_slice_ms();
     const SimTime tail = retransmit_tail_ms(cfg_) + cfg_.stabilize_period_ms +
                          cfg_.timer_jitter_ms;
     quiet_needed =
         std::max<int>(quiet_needed, static_cast<int>((tail + slice - 1) / slice));
   }
-  return quiet_needed;
-}
-
-MulticastTree AsyncOverlayNet::multicast(Id source) {
-  MulticastTree tree(source);
-  if (!running(source)) return tree;  // no stream id consumed
-  begin_capture(&tree, next_stream());
-  start_multicast(source, active_stream_);
-  const SimTime slice = quiesce_slice_ms();
-  const int quiet_needed = quiesce_rounds();
   std::uint64_t last = deliveries_;
   int quiet = 0;
   while (quiet < quiet_needed) {
@@ -1028,7 +1013,9 @@ MulticastTree AsyncOverlayNet::multicast(Id source) {
       last = deliveries_;
     }
   }
-  begin_capture(nullptr, 0);
+  active_tree_ = nullptr;
+  active_stream_ = 0;
+  deliveries_ = 0;
   return tree;
 }
 

@@ -369,32 +369,6 @@ class AsyncOverlayNet {
   /// events out of a trace (telemetry::replay_multicast).
   std::uint64_t last_stream_id() const { return stream_seq_ - 1; }
 
-  // --- sharded-harness hooks (proto/sharded_async.h) -------------------
-  // The sharded wrapper owns stream-id allocation (ids must be globally
-  // unique across shard-nets) and the quiesce loop (time advances
-  // through the shard group, not this net's simulator); each shard-net
-  // just records its own nodes' deliveries into a caller-owned tree.
-
-  /// Directs delivery recording into `tree` for `stream` and resets the
-  /// delivery counter. Pass nullptr to stop capturing.
-  void begin_capture(MulticastTree* tree, std::uint64_t stream) {
-    active_tree_ = tree;
-    active_stream_ = tree == nullptr ? 0 : stream;
-    deliveries_ = 0;
-  }
-  /// Deliveries recorded since begin_capture().
-  std::uint64_t deliveries() const { return deliveries_; }
-
-  /// Injects the initial MULTICAST at `source` (which must be a live
-  /// local member; returns false otherwise) under stream id `stream`.
-  bool start_multicast(Id source, std::uint64_t stream);
-
-  /// The quiesce-poll geometry multicast() uses: slice length and the
-  /// number of consecutive delivery-free slices that count as "done"
-  /// (sized to outlast the slowest silent repair path).
-  SimTime quiesce_slice_ms() const;
-  int quiesce_rounds() const;
-
   /// Fraction of members whose successor pointer matches ground truth —
   /// the harness's omniscient convergence probe for tests. Recorded as
   /// the "ring.consistency" gauge and a kRingSample trace event when

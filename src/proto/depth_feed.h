@@ -1,6 +1,6 @@
 // HostBus binding for the data plane's depth advertisements.
 //
-// The BackpressureForwarder's default depth transport is an oracle: the
+// The forwarder's default depth transport (kBackpressure) is an oracle: the
 // child's backlog value rides inside the forwarder's own simulation
 // event. This class replaces it with the asynchronous stack's queue-depth
 // piggyback (host_bus.h, DESIGN.md §11): at every report tick the child

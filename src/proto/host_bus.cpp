@@ -81,29 +81,11 @@ void HostBus::deliver(Id from, Id to, Message msg, std::size_t bytes,
     bytes_total_->add(bytes);
     bytes_[idx]->add(bytes);
   }
-  if (remote_local_ && !remote_local_(to)) {
-    // The destination lives on another shard: book the traffic here
-    // (sender-side, identical to a local send) and hand the datagram
-    // plus its arrival time to the owning shard's bus.
-    const SimTime delay = net_.delay_of(from, to, extra_delay_ms);
-    net_.record_send(bytes, cls, delay);
-    remote_forward_(from, to, std::move(msg), net_.sim().now() + delay,
-                    depth);
-    return;
-  }
   const std::uint32_t slot = acquire_slot(std::move(msg));
   net_.send(
       from, to, bytes,
       [this, from, to, depth, slot] { deliver_now(from, to, depth, slot); },
       cls, extra_delay_ms);
-}
-
-void HostBus::inject_at(Id from, Id to, Message msg, SimTime deliver_at,
-                        double depth) {
-  const std::uint32_t slot = acquire_slot(std::move(msg));
-  net_.sim().at(deliver_at, [this, from, to, depth, slot] {
-    deliver_now(from, to, depth, slot);
-  });
 }
 
 void HostBus::deliver_now(Id from, Id to, double depth, std::uint32_t slot) {

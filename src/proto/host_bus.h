@@ -88,29 +88,6 @@ class HostBus {
   /// no carrying datagram has been delivered).
   double advertised_depth(Id observer, Id peer) const;
 
-  /// Sharded operation (proto/sharded_async.h): when a destination host
-  /// lives on another shard's bus, the datagram cannot be scheduled on
-  /// this shard's simulator. `local` says whether this bus owns a host;
-  /// `forward` ships a non-local datagram (with its already-computed
-  /// absolute arrival time — sender-side counters and Network traffic
-  /// are booked here, exactly as for a local send) to the owning shard,
-  /// which re-enters it through inject_at(). Pass empty functions to
-  /// return to single-shard operation.
-  using RemoteForward = std::function<void(
-      Id from, Id to, Message msg, SimTime deliver_at, double depth)>;
-  void set_remote(std::function<bool(Id host)> local, RemoteForward forward) {
-    remote_local_ = std::move(local);
-    remote_forward_ = std::move(forward);
-  }
-
-  /// Destination-side re-entry for a datagram forwarded from another
-  /// shard: schedules the normal delivery path (handler lookup, depth
-  /// piggyback, detached-drop accounting) at absolute simulator time
-  /// `deliver_at`, which must be in this shard's strict future — the
-  /// sharded engine's lookahead window guarantees it.
-  void inject_at(Id from, Id to, Message msg, SimTime deliver_at,
-                 double depth);
-
   /// Attaches telemetry; per-class message/byte counters and the drop
   /// counters are resolved once so posting stays one pointer test per
   /// metric when metrics are on and a single null test when off.
@@ -152,10 +129,6 @@ class HostBus {
   std::uint64_t detached_drops_ = 0;
   Shaper shaper_;
   std::vector<SimTime> shape_delays_;  // reused per post()
-
-  // Sharded-mode hooks (empty in single-shard operation).
-  std::function<bool(Id)> remote_local_;
-  RemoteForward remote_forward_;
 
   // In-flight datagram pool (see acquire_slot). High-water-mark sized:
   // capacity tracks the peak number of simultaneously in-flight

@@ -148,7 +148,7 @@ StreamCellResult stream_cell_on(const FrozenDirectory& dir,
   out.analytic_kbps = tree_throughput_kbps(tree, bw);
 
   ConstantLatency lat(cell.latency_ms);
-  dataplane::BackpressureForwarder forwarder(tree, lat, cell.fwd);
+  dataplane::TreeForwarder forwarder(tree, lat, cell.fwd);
   forwarder.resolve_uplinks(bw);
   out.stats = forwarder.run(cell.traffic);
   return out;

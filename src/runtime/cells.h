@@ -97,7 +97,7 @@ struct StreamCellSpec {
   std::uint64_t seed = 1;             // source-draw seed
   strategy::StrategyParams params;    // structural knobs per strategy
   dataplane::ForwarderConfig fwd;
-  dataplane::TrafficSpec traffic;
+  dataplane::GroupTraffic traffic;
   double latency_ms = 10.0;         // constant per-link propagation
   double hotspot_factor = 1.0;      // 1.0 = no induced hotspot
 };

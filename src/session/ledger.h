@@ -20,8 +20,8 @@
 // B_x * fanout_g(x) / (total debited fanout at x) — the per-link
 // provisioning model of multicast/metrics.h generalized to many groups.
 // A group that is the sole user of x gets the whole uplink, which is
-// what keeps single-group session runs bit-identical to the legacy
-// stream plane.
+// what keeps single-group session runs bit-identical to the single-tree
+// kShared plane (dataplane::stream_over_tree).
 #pragma once
 
 #include <cstdint>
@@ -61,7 +61,7 @@ class CapacityLedger {
 
   /// Group g's share of node's uplink: B_x * used(x,g) / used(x) kbps,
   /// or the full B_x when g is the only debtor (single-group sessions
-  /// reproduce the legacy full-uplink plane exactly). Zero when g holds
+  /// reproduce the full-uplink plane exactly). Zero when g holds
   /// no slot at x.
   double share_kbps(Id node, GroupId g) const;
 

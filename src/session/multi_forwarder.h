@@ -1,300 +1,32 @@
-// MultiGroupForwarder: many groups' packet streams multiplexed over the
-// shared dataplane.
-//
-// Every node in the union of the groups' trees owns one uplink; each of
-// its outbound links carries one BinQueue whose bins are keyed by group
-// id, so copies from different groups genuinely contend in the same
-// queues. Two service disciplines:
-//
-//   * kShared — one FIFO transmitter per node serving the global FIFO
-//     head across ALL groups' bins at the full uplink rate B_x. This is
-//     the paper's Section 4.3 single-FIFO uplink verbatim: with exactly
-//     one group the event trajectory is bit-identical to
-//     dataplane::BackpressureForwarder in FIFO mode (and therefore to
-//     the legacy src/stream schedule), which tests/session_test.cpp
-//     pins field-for-field and against a golden file. With several
-//     groups, a burst in one group delays the others — measured, not
-//     modeled away.
-//
-//   * kLedgerShares — the backpressure/isolation discipline: each
-//     (node, group) pair gets a virtual transmitter at the ledger share
-//     rate B_x * debit_g(x) / sum-of-debits(x), serving only that
-//     group's bins. A group's schedule then depends only on its own
-//     traffic and its ledger allocation, never on what other groups
-//     queue: the uncongested group's per-group results are
-//     bit-identical to a solo run under the same ledger
-//     (tests/session_contention_test.cpp). A group that is the sole
-//     ledger user of a node gets the full B_x, so a single-group run
-//     is again the legacy plane.
-//
-// Admission control is per group: a (node, group) backlog above the
-// high watermark raises that group's congestion flag up ITS tree and
-// pauses only that group's source; other groups keep emitting
-// (ISSUE 7 satellite: pauses are per-group, not global).
+// MultiGroupForwarder: the data plane (dataplane/forwarder.h) over a
+// SessionLayer's groups. It snapshots every group's tree, the uplink
+// capacities and, under kLedgerShares, each member's ledger share at
+// construction; everything else is the one forwarder.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
-#include "dataplane/bin_queue.h"
 #include "dataplane/forwarder.h"
-#include "dataplane/packet_pool.h"
-#include "ids/ring.h"
 #include "session/session.h"
 #include "sim/latency.h"
 
 namespace cam::session {
 
-enum class SchedMode : std::uint8_t {
-  kShared,        // one FIFO uplink per node, all groups contend
-  kLedgerShares,  // per-(node, group) virtual transmitters, isolated
+using dataplane::FailoverScript;
+using dataplane::GroupRunStats;
+using dataplane::GroupTraffic;
+using dataplane::MultiGroupStats;
+using dataplane::SchedMode;
+
+/// The forwarder config with the many-group default: kShared FIFO.
+struct MultiGroupConfig : dataplane::ForwarderConfig {
+  MultiGroupConfig(SchedMode m = SchedMode::kShared) { mode = m; }
 };
 
-struct MultiGroupConfig {
-  SchedMode mode = SchedMode::kShared;
-  /// Per-group admission watermarks (ms of that group's backlog at a
-  /// node, against its serving rate). 0 disables admission control.
-  double admission_high_ms = 0;
-  double admission_low_ms = 0;
-  /// Gap repair gives up on packets older than this at reattach time
-  /// (the zombie deadline): a repair that would arrive later than any
-  /// playout point is wasted uplink. 0 = repair everything.
-  double repair_deadline_ms = 0;
-};
-
-/// One group's stream for a run.
-struct GroupTraffic {
-  GroupId group = 0;
-  std::uint64_t packet_bytes = 1250;
-  std::uint32_t num_packets = 64;
-  double source_rate_kbps = 0;  // 0 = back-to-back
-  SimTime start_ms = 0;         // emission start offset
-  /// Source admission throttle in (0, 1] — SessionLayer::throttle(g)
-  /// under graceful degradation. Below 1.0 the source spaces emissions
-  /// at throttle * the nominal rate (back-to-back becomes paced at
-  /// throttle * B_src) instead of dropping the parked subtree's share.
-  double throttle = 1.0;
-};
-
-/// Mid-stream failover surgery, replayed by the event loop: oracle (or
-/// detector-derived) crash instants plus the per-edge consequences the
-/// control plane worked out — parent-side prunes at each watcher's
-/// detection time and child reattaches (with pull gap-repair) once the
-/// session layer re-hung the orphan. Ids are overlay ids; groups must
-/// be streamed groups.
-struct FailoverScript {
-  struct Crash {
-    SimTime at_ms = 0;
-    Id node = 0;
-  };
-  struct Prune {  // `parent` stops forwarding group `group` to `child`
-    SimTime at_ms = 0;
-    GroupId group = 0;
-    Id parent = 0;
-    Id child = 0;
-  };
-  struct Reattach {  // `child` re-hangs under `parent`, then backfills
-    SimTime at_ms = 0;
-    GroupId group = 0;
-    Id child = 0;
-    Id parent = 0;
-  };
-  std::vector<Crash> crashes;
-  std::vector<Prune> prunes;
-  std::vector<Reattach> reattaches;
-
-  bool empty() const {
-    return crashes.empty() && prunes.empty() && reattaches.empty();
-  }
-};
-
-/// Per-group results. `session` uses the exact arithmetic of the legacy
-/// plane (dataplane::SessionStats), so single-group values compare
-/// field-for-field against stream_over_tree().
-struct GroupRunStats {
-  GroupId group = 0;
-  dataplane::SessionStats session;
-  std::uint64_t packets_emitted = 0;
-  std::uint64_t copies_delivered = 0;
-  std::uint64_t copies_expected = 0;
-  std::uint64_t duplicate_deliveries = 0;  // exactly-once: must be 0
-  std::uint64_t admission_pauses = 0;
-  SimTime admission_paused_ms = 0;
-  double p99_latency_ms = 0;   // per-copy (arrival - emit), 99th pct
-  double mean_latency_ms = 0;
-  // Failover accounting (all zero when the run had no FailoverScript).
-  std::uint64_t copies_lost = 0;       // flushed at crashes / dead drops
-  std::uint64_t reattaches = 0;        // applied reattach events
-  std::uint64_t repaired_copies = 0;   // pull-repair copies enqueued
-  std::uint64_t repair_zombies = 0;    // missing seqs past the deadline
-  std::uint64_t zombie_lost_deliveries = 0;  // deliveries abandoned
-  std::uint64_t gap_packets_total = 0;  // sum of reattach bitmap gaps
-  std::uint64_t gap_packets_max = 0;    // worst single reattach gap
-  /// Relays skipped because the (reattached) child's bitmap already
-  /// held the sequence — the exactly-once guard on the failover path.
-  std::uint64_t suppressed_relays = 0;
-};
-
-struct MultiGroupStats {
-  std::vector<GroupRunStats> groups;  // in traffic order
-  /// Sum over groups of delivered payload over the whole-run makespan.
-  double aggregate_goodput_kbps = 0;
-  /// Jain index over per-group session rates (groups with receivers).
-  double jain_fairness = 0;
-  double p99_latency_ms = 0;  // across every delivery of every group
-  SimTime completion_ms = 0;
-  std::uint64_t copies_sent = 0;
-  double max_backlog_ms = 0;  // deepest serving-rate backlog observed
-};
-
-class MultiGroupForwarder {
+class MultiGroupForwarder : public dataplane::Forwarder {
  public:
-  /// Captures the session's group trees and ledger shares at
-  /// construction. The session and latency model must outlive the
-  /// forwarder; the run is single-shot.
+  /// The session and latency model must outlive the forwarder; the run
+  /// is single-shot.
   MultiGroupForwarder(const SessionLayer& session,
-                      const LatencyModel& latency, MultiGroupConfig cfg);
-
-  /// Streams every group in `traffic` (each group at most once; groups
-  /// must exist in the session). Returns per-group and aggregate stats.
-  /// A non-empty `script` injects mid-stream failover: crashed nodes
-  /// flush their queues and stop delivering, pruned edges stop
-  /// forwarding, and reattached children backfill their delivery-bitmap
-  /// gap from the new parent (pull repair, zombie deadline permitting).
-  MultiGroupStats run(const std::vector<GroupTraffic>& traffic,
-                      const FailoverScript& script = {});
-
- private:
-  struct Link {
-    std::uint32_t child = 0;  // dense node index
-    SimTime latency_ms = 0;
-    dataplane::BinQueue queue;  // bins keyed by group id
-  };
-
-  struct Node {
-    double kbps = 0;  // full uplink B_x
-    std::vector<Link> links;  // ascending child id
-    bool tx_busy = false;     // kShared transmitter
-  };
-
-  /// Per-group view of one member node.
-  struct GroupNode {
-    std::uint32_t node = 0;           // dense node index
-    std::uint32_t parent_slot = 0;    // group-local index; self for source
-    SimTime parent_latency_ms = 0;
-    std::vector<std::uint32_t> links;  // indices into Node::links
-    double rate_kbps = 0;  // serving rate: B_x (kShared) or ledger share
-    bool vtx_busy = false;            // kLedgerShares transmitter
-    // Per-group admission state (flags climb this group's tree).
-    bool own_congested = false;
-    std::uint32_t congested_children = 0;
-    bool flag_sent = false;
-    /// What the parent last heard from this member (set/clear), so a
-    /// prune can retract exactly the standing contribution and a
-    /// reattach can transfer it to the new parent.
-    bool flag_landed = false;
-    bool pruned = false;    // parent stopped forwarding (member is dead)
-    bool detached = false;  // upstream edge severed, reattach pending
-    // Measurement.
-    SimTime first_arrival_ms = 0;
-    SimTime last_arrival_ms = 0;
-    std::uint32_t delivered = 0;
-    std::uint32_t frozen_delivered = 0;  // delivered count at crash time
-  };
-
-  struct Group {
-    GroupId id = 0;
-    GroupTraffic traffic;
-    double packet_kbit = 0;
-    SimTime gen_interval = 0;
-    std::uint32_t source_slot = 0;
-    std::vector<GroupNode> members;        // group-local slots
-    FlatMap<std::uint32_t, std::uint32_t> slot_of;  // node idx -> slot
-    std::vector<std::uint64_t> delivered_bits;
-    std::size_t words_per_member = 0;
-    std::vector<SimTime> emit_ms;  // source emission time per seq
-    // Emission state.
-    SimTime emit_offset = 0;
-    std::uint32_t next_emit = 0;
-    bool emission_paused = false;
-    SimTime pause_start_ms = 0;
-    std::vector<double> latencies_ms;  // every delivery's arrival - emit
-    GroupRunStats stats;
-  };
-
-  enum class EventKind : std::uint8_t {
-    kSourceEmit,  // dest = group index, aux = packet seq
-    kArrival,     // copy lands at node; aux = sender's dense index
-    kTxFree,      // kShared: node transmitter idle
-    kVtxFree,     // kLedgerShares: (node, group) transmitter idle
-    kFlagArrive,  // per-group congestion flag at member slot `dest`
-    kCrash,       // node dies: flush queues, freeze delivery expectation
-    kPrune,       // node (parent) stops forwarding gidx to dest (child)
-    kReattach,    // node (child) re-hangs under dest (parent) in gidx
-  };
-
-  struct Event {
-    SimTime time = 0;
-    std::uint64_t seq = 0;
-    EventKind kind = EventKind::kSourceEmit;
-    std::uint32_t node = 0;
-    std::uint32_t dest = 0;  // group index / member slot / copy dest
-    std::uint32_t gidx = 0;
-    dataplane::PacketRef pkt = dataplane::kNullPacket;
-    std::uint64_t aux = 0;
-  };
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
-  void push_event(Event e);
-  double node_backlog_ms(const Node& n) const;
-  double group_backlog_ms(const Group& g, const GroupNode& gn) const;
-  std::uint32_t dense_index(Id id) const;
-
-  void crash_node(std::uint32_t node, SimTime now);
-  void prune_link(std::uint32_t gidx, std::uint32_t parent,
-                  std::uint32_t child, SimTime now);
-  void reattach(std::uint32_t gidx, std::uint32_t child,
-                std::uint32_t parent, SimTime now);
-  /// Flips `detached` on the subtree currently hanging from `slot`
-  /// (link-reachable members), `slot` included.
-  void mark_detached(Group& g, std::uint32_t slot, bool detached);
-
-  void emit(std::uint32_t gidx, std::uint32_t seq, SimTime now);
-  void relay_to_children(std::uint32_t gidx, std::uint32_t slot,
-                         dataplane::PacketRef pkt, SimTime now);
-  void serve_shared(std::uint32_t node, SimTime now);
-  void serve_group(std::uint32_t gidx, std::uint32_t slot, SimTime now);
-  void handle_arrival(const Event& e);
-  void update_congestion(std::uint32_t gidx, std::uint32_t slot,
-                         SimTime now);
-  void maybe_resume(std::uint32_t gidx, SimTime now);
-  void finalize(MultiGroupStats& out);
-
-  const LatencyModel& latency_;
-  MultiGroupConfig cfg_;
-
-  std::vector<Id> ids_;       // dense node table, ascending id
-  std::vector<Node> nodes_;
-  std::vector<Group> groups_;
-  FlatMap<GroupId, std::uint32_t> group_index_;
-  std::vector<std::uint32_t> active_;  // streamed groups, traffic order
-
-  dataplane::PacketPool pool_;
-  std::vector<Event> heap_;
-  std::uint64_t next_event_seq_ = 0;
-  std::uint64_t next_order_ = 0;
-  std::uint64_t live_copies_ = 0;
-  bool ran_ = false;
-  bool failover_active_ = false;
-  std::vector<std::uint8_t> dead_;  // by dense node index
-
-  std::uint64_t copies_sent_ = 0;
-  double max_backlog_ms_ = 0;
+                      const LatencyModel& latency, MultiGroupConfig cfg = {});
 };
 
 }  // namespace cam::session

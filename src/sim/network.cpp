@@ -5,20 +5,16 @@ namespace cam {
 SimTime Network::send(Id from, Id to, std::size_t bytes,
                       Simulator::Action on_arrival, MsgClass cls,
                       SimTime extra_delay_ms) {
-  const SimTime delay = delay_of(from, to, extra_delay_ms);
-  record_send(bytes, cls, delay);
-  SimTime arrive = sim_.now() + delay;
-  sim_.at(arrive, std::move(on_arrival));
-  return arrive;
-}
-
-void Network::record_send(std::size_t bytes, MsgClass cls, SimTime delay) {
+  const SimTime delay = latency_.latency(from, to) + extra_delay_ms;
   auto idx = static_cast<int>(cls);
   stats_.messages[idx] += 1;
   stats_.bytes[idx] += bytes;
   // The histogram records the experienced one-way delay, injected
   // stretch included — that is what a receiver would measure.
   if (latency_hist_ != nullptr) latency_hist_->record(delay);
+  SimTime arrive = sim_.now() + delay;
+  sim_.at(arrive, std::move(on_arrival));
+  return arrive;
 }
 
 void Network::set_telemetry(telemetry::Sink sink) {

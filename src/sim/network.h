@@ -47,19 +47,6 @@ class Network {
   SimTime send(Id from, Id to, std::size_t bytes, Simulator::Action on_arrival,
                MsgClass cls = MsgClass::kData, SimTime extra_delay_ms = 0);
 
-  /// The one-way delay send() would charge for this datagram. The
-  /// sharded engine computes arrival times for cross-shard hand-offs
-  /// with this instead of scheduling locally.
-  SimTime delay_of(Id from, Id to, SimTime extra_delay_ms = 0) const {
-    return latency_.latency(from, to) + extra_delay_ms;
-  }
-
-  /// Books the traffic of a send whose delivery is scheduled elsewhere
-  /// (on another shard's simulator): same counters and latency histogram
-  /// as send(), no event. Keeps sender-side accounting identical between
-  /// serial and sharded runs.
-  void record_send(std::size_t bytes, MsgClass cls, SimTime delay);
-
   const NetStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 

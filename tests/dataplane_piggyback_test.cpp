@@ -1,6 +1,6 @@
 // Oracle-vs-piggyback depth transport regression (ISSUE 7 satellite 4).
 //
-// The BackpressureForwarder's default depth advertisements are an
+// The forwarder's default depth advertisements are an
 // oracle: the child's backlog value rides inside the forwarder's own
 // kDepthReport/kDepthArrive event pair. proto::DepthFeed replaces the
 // payload with the asynchronous stack's queue-depth piggyback: the
@@ -22,15 +22,15 @@
 #include "sim/latency.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
-#include "stream/streaming.h"
 
 namespace cam {
 namespace {
 
-using dataplane::BackpressureForwarder;
 using dataplane::ForwarderConfig;
 using dataplane::ForwardStats;
-using dataplane::TrafficSpec;
+using dataplane::GroupTraffic;
+using dataplane::SchedMode;
+using dataplane::TreeForwarder;
 
 // A three-level tree with a slow interior relay: node 1 serves three
 // children on a thin uplink, so real backlog builds, depth reports
@@ -56,8 +56,8 @@ double uplink_of(Id x) {
   return 1200.0;
 }
 
-TrafficSpec traffic() {
-  TrafficSpec t;
+GroupTraffic traffic() {
+  GroupTraffic t;
   t.packet_bytes = 1250;
   t.num_packets = 64;
   return t;
@@ -65,7 +65,7 @@ TrafficSpec traffic() {
 
 ForwardStats run_oracle(const MulticastTree& tree,
                         const LatencyModel& latency, ForwarderConfig cfg) {
-  BackpressureForwarder fwd(tree, latency, cfg);
+  TreeForwarder fwd(tree, latency, cfg);
   fwd.resolve_uplinks(uplink_of);
   return fwd.run(traffic());
 }
@@ -91,7 +91,7 @@ TEST(DataplanePiggyback, LosslessBusMatchesOracleFieldForField) {
   const MulticastTree tree = congested_tree();
   const ConstantLatency latency(5.0);
   ForwarderConfig cfg;
-  cfg.backpressure = true;
+  cfg.mode = SchedMode::kBackpressure;
 
   const ForwardStats oracle = run_oracle(tree, latency, cfg);
   // The run really was congested: advertised depths were live inputs,
@@ -108,7 +108,7 @@ TEST(DataplanePiggyback, LosslessBusMatchesOracleFieldForField) {
     if (child != tree.source()) feed.register_edge(child, rec.parent);
   }
 
-  BackpressureForwarder fwd(tree, latency, cfg);
+  TreeForwarder fwd(tree, latency, cfg);
   fwd.resolve_uplinks(uplink_of);
   fwd.set_depth_feed(feed.hooks());
   const ForwardStats piggy = fwd.run(traffic());
@@ -124,7 +124,7 @@ TEST(DataplanePiggyback, AdmissionControlAlsoMatchesOracle) {
   const MulticastTree tree = congested_tree();
   const ConstantLatency latency(5.0);
   ForwarderConfig cfg;
-  cfg.backpressure = true;
+  cfg.mode = SchedMode::kBackpressure;
   cfg.admission_high_ms = 60.0;
   cfg.admission_low_ms = 20.0;
 
@@ -138,7 +138,7 @@ TEST(DataplanePiggyback, AdmissionControlAlsoMatchesOracle) {
   for (const auto& [child, rec] : tree.entries()) {
     if (child != tree.source()) feed.register_edge(child, rec.parent);
   }
-  BackpressureForwarder fwd(tree, latency, cfg);
+  TreeForwarder fwd(tree, latency, cfg);
   fwd.resolve_uplinks(uplink_of);
   fwd.set_depth_feed(feed.hooks());
   expect_same_stats(oracle, fwd.run(traffic()));
@@ -152,7 +152,7 @@ TEST(DataplanePiggyback, LossyBusStaysCorrectJustStaler) {
   const MulticastTree tree = congested_tree();
   const ConstantLatency latency(5.0);
   ForwarderConfig cfg;
-  cfg.backpressure = true;
+  cfg.mode = SchedMode::kBackpressure;
 
   Simulator sim;
   Network net(sim, latency);
@@ -162,7 +162,7 @@ TEST(DataplanePiggyback, LossyBusStaysCorrectJustStaler) {
   for (const auto& [child, rec] : tree.entries()) {
     if (child != tree.source()) feed.register_edge(child, rec.parent);
   }
-  BackpressureForwarder fwd(tree, latency, cfg);
+  TreeForwarder fwd(tree, latency, cfg);
   fwd.resolve_uplinks(uplink_of);
   fwd.set_depth_feed(feed.hooks());
   const ForwardStats lossy = fwd.run(traffic());

@@ -9,7 +9,6 @@
 #include "dataplane/packet_pool.h"
 #include "multicast/metrics.h"
 #include "runtime/cells.h"
-#include "stream/streaming.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "test_util.h"
@@ -17,15 +16,17 @@
 namespace cam {
 namespace {
 
-using dataplane::BackpressureForwarder;
 using dataplane::BinQueue;
 using dataplane::ForwarderConfig;
 using dataplane::ForwardStats;
+using dataplane::GroupTraffic;
 using dataplane::kNullPacket;
 using dataplane::PacketPool;
 using dataplane::PacketRef;
 using dataplane::QueuedCopy;
-using dataplane::TrafficSpec;
+using dataplane::SchedMode;
+using dataplane::TreeForwarder;
+using dataplane::UplinkFn;
 using test::capacity_fn;
 using test::make_population;
 
@@ -168,9 +169,9 @@ MulticastTree hub_tree() {
 
 ForwardStats run_tree(const MulticastTree& tree, const UplinkFn& uplink,
                       double latency_ms, ForwarderConfig cfg,
-                      TrafficSpec traffic, telemetry::Sink sink = {}) {
+                      GroupTraffic traffic, telemetry::Sink sink = {}) {
   ConstantLatency lat(latency_ms);
-  BackpressureForwarder f(tree, lat, cfg, sink);
+  TreeForwarder f(tree, lat, cfg, sink);
   f.resolve_uplinks(uplink);
   return f.run(traffic);
 }
@@ -181,8 +182,8 @@ TEST(DataplaneForwarder, FifoModeMatchesLegacyNumbersExactly) {
   MulticastTree tree(1);
   tree.record(1, 2, 1);
   ForwarderConfig cfg;
-  cfg.backpressure = false;
-  TrafficSpec traffic;
+  cfg.mode = SchedMode::kShared;
+  GroupTraffic traffic;
   traffic.num_packets = 32;
   ForwardStats s =
       run_tree(tree, [](Id) { return 100.0; }, 30.0, cfg, traffic);
@@ -201,12 +202,12 @@ TEST(DataplaneForwarder, StreamOverTreeIsTheFifoForwarder) {
   MulticastTree tree = hub_tree();
   auto uplink = [](Id x) { return x == 2 ? 80.0 : 500.0; };
   ConstantLatency lat(10.0);
-  StreamConfig cfg;
+  GroupTraffic cfg;
   cfg.num_packets = 24;
-  StreamResult via_api = stream_over_tree(tree, uplink, lat, cfg);
+  dataplane::SessionStats via_api = stream_over_tree(tree, uplink, lat, cfg);
 
   ForwarderConfig fwd;
-  fwd.backpressure = false;
+  fwd.mode = SchedMode::kShared;
   ForwardStats direct = run_tree(tree, uplink, 10.0, fwd, cfg);
   EXPECT_EQ(via_api.session_rate_kbps, direct.session.session_rate_kbps);
   EXPECT_EQ(via_api.completion_ms, direct.session.completion_ms);
@@ -226,14 +227,14 @@ TEST(DataplaneForwarder, BackpressureEqualsFifoWhenUncongested) {
   double analytic = tree_throughput_kbps(tree, bw);
   ASSERT_GT(analytic, 0);
 
-  TrafficSpec traffic;
+  GroupTraffic traffic;
   traffic.num_packets = 48;
   traffic.source_rate_kbps = analytic * 0.5;  // comfortably sustainable
 
   ForwarderConfig fifo;
-  fifo.backpressure = false;
+  fifo.mode = SchedMode::kShared;
   ForwarderConfig bp;
-  bp.backpressure = true;
+  bp.mode = SchedMode::kBackpressure;
   ForwardStats a = run_tree(tree, bw, 10.0, fifo, traffic);
   ForwardStats b = run_tree(tree, bw, 10.0, bp, traffic);
 
@@ -254,14 +255,14 @@ TEST(DataplaneForwarder, BackpressureEqualsFifoWhenUncongested) {
 TEST(DataplaneForwarder, DelegationBeatsFifoAtHotspot) {
   MulticastTree tree = hub_tree();
   auto uplink = [](Id x) { return x == 2 ? 40.0 : 1000.0; };
-  TrafficSpec traffic;
+  GroupTraffic traffic;
   traffic.num_packets = 48;
   traffic.source_rate_kbps = 80.0;  // hub alone could carry 40/4 = 10
 
   ForwarderConfig fifo;
-  fifo.backpressure = false;
+  fifo.mode = SchedMode::kShared;
   ForwarderConfig bp;
-  bp.backpressure = true;
+  bp.mode = SchedMode::kBackpressure;
   ForwardStats f = run_tree(tree, uplink, 10.0, fifo, traffic);
   ForwardStats b = run_tree(tree, uplink, 10.0, bp, traffic);
 
@@ -283,7 +284,7 @@ TEST(DataplaneForwarder, DeadlineExpiresZombies) {
   tree.record(1, 2, 1);
   tree.record(2, 3, 2);
   auto uplink = [](Id x) { return x == 2 ? 20.0 : 1000.0; };
-  TrafficSpec traffic;
+  GroupTraffic traffic;
   traffic.num_packets = 32;
   traffic.source_rate_kbps = 100.0;  // node 2 drains at 20: queue grows
 
@@ -292,7 +293,7 @@ TEST(DataplaneForwarder, DeadlineExpiresZombies) {
   telemetry::Sink sink{&reg, &tracer};
 
   ForwarderConfig cfg;
-  cfg.backpressure = true;
+  cfg.mode = SchedMode::kBackpressure;
   cfg.deadline_ms = 1500.0;
   ForwardStats s = run_tree(tree, uplink, 10.0, cfg, traffic, sink);
 
@@ -316,7 +317,7 @@ TEST(DataplaneForwarder, AdmissionThrottlesSource) {
   tree.record(1, 2, 1);
   tree.record(2, 3, 2);
   auto uplink = [](Id x) { return x == 2 ? 50.0 : 1000.0; };
-  TrafficSpec traffic;
+  GroupTraffic traffic;
   traffic.num_packets = 24;
   traffic.source_rate_kbps = 200.0;  // 4x what node 2 can relay
 
@@ -324,7 +325,7 @@ TEST(DataplaneForwarder, AdmissionThrottlesSource) {
   telemetry::Sink sink{&reg, nullptr};
 
   ForwarderConfig cfg;
-  cfg.backpressure = true;
+  cfg.mode = SchedMode::kBackpressure;
   cfg.admission_high_ms = 400.0;
   cfg.admission_low_ms = 100.0;
   ForwardStats s = run_tree(tree, uplink, 10.0, cfg, traffic, sink);
@@ -342,7 +343,7 @@ TEST(DataplaneForwarder, AdmissionThrottlesSource) {
 TEST(DataplaneForwarder, PoolStaysWithinReserveAndQuiesces) {
   MulticastTree tree = hub_tree();
   ForwarderConfig cfg;
-  TrafficSpec traffic;
+  GroupTraffic traffic;
   traffic.num_packets = 64;
   ForwardStats s =
       run_tree(tree, [](Id) { return 200.0; }, 5.0, cfg, traffic);
@@ -380,7 +381,7 @@ TEST(DataplaneSweep, StreamCellsDeterministicAcrossJobs) {
   FrozenDirectory dir =
       workload::bandwidth_derived_population(spec, 100.0, 4).freeze();
 
-  dataplane::TrafficSpec traffic;
+  dataplane::GroupTraffic traffic;
   traffic.num_packets = 32;
   traffic.source_rate_kbps = 50.0;
 
@@ -393,7 +394,7 @@ TEST(DataplaneSweep, StreamCellsDeterministicAcrossJobs) {
         cell.prebuilt = &dir;
         cell.seed = 5;
         cell.traffic = traffic;
-        cell.fwd.backpressure = bp;
+        cell.fwd.mode = bp ? SchedMode::kBackpressure : SchedMode::kShared;
         cell.hotspot_factor = h;
         cells.push_back(cell);
       }

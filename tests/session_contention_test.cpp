@@ -8,8 +8,11 @@
 //     the other group's queue depth never leaks into its schedule.
 //   * Admission control is per group: only the congested group's source
 //     pauses; the other group never stalls (ISSUE 7 satellite).
+//   * kBackpressure sheds duty per group at the shared hotspot: both
+//     groups delegate, every copy still lands exactly once.
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -179,6 +182,51 @@ TEST(SessionContention, AdmissionPausesArePerGroup) {
   EXPECT_EQ(g1.copies_delivered, g1.copies_expected);
   EXPECT_EQ(g2.copies_delivered, g2.copies_expected);
   EXPECT_EQ(g1.duplicate_deliveries + g2.duplicate_deliveries, 0u);
+}
+
+TEST(SessionContention, BackpressureDelegatesAcrossGroupsExactlyOnce) {
+  // Both groups burst back-to-back through the shared source uplink, so
+  // its backlog clears the congestion gate and the forwarder hands
+  // copies of each group to children of that group already holding the
+  // packet. Delegation reroutes copies; it must never lose or repeat one.
+  const World w(24);
+  const ConstantLatency latency(5.0);
+  const MultiGroupConfig cfg{SchedMode::kBackpressure};
+  GroupTraffic second = heavy();
+  second.group = 2;
+  auto run = [&] {
+    return MultiGroupForwarder(*w.layer, latency, cfg).run({heavy(), second});
+  };
+  const MultiGroupStats a = run();
+  const MultiGroupStats b = run();
+  ASSERT_EQ(a.groups.size(), 2u);
+  ASSERT_EQ(b.groups.size(), 2u);
+  for (std::size_t i = 0; i < a.groups.size(); ++i) {
+    const GroupRunStats& g = a.groups[i];
+    EXPECT_EQ(g.duplicate_deliveries, 0u) << "group " << g.group;
+    EXPECT_GT(g.copies_delivered, 0u) << "group " << g.group;
+    EXPECT_EQ(g.copies_delivered, g.copies_expected) << "group " << g.group;
+    EXPECT_GT(g.delegated_copies, 0u) << "group " << g.group;
+    // Deterministic: a second run is bit-identical.
+    expect_same_group_stats(g, b.groups[i]);
+    EXPECT_EQ(g.delegated_copies, b.groups[i].delegated_copies);
+  }
+  EXPECT_EQ(a.copies_sent, b.copies_sent);
+  EXPECT_EQ(a.max_backlog_ms, b.max_backlog_ms);
+  EXPECT_EQ(a.completion_ms, b.completion_ms);
+}
+
+TEST(SessionContention, BackpressureRejectsFailoverScripts) {
+  // Delegated duties ride relay queues outside the tree edges that
+  // failover prunes and re-hangs, so the forwarder replays scripts only
+  // in the FIFO and ledger-share modes.
+  const World w(25);
+  const ConstantLatency latency(5.0);
+  session::FailoverScript script;
+  script.crashes.push_back({100.0, w.dir.ids()[3]});
+  MultiGroupForwarder fwd(*w.layer, latency,
+                          MultiGroupConfig{SchedMode::kBackpressure});
+  EXPECT_THROW(fwd.run({heavy()}, script), std::invalid_argument);
 }
 
 }  // namespace

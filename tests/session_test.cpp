@@ -2,7 +2,7 @@
 // accounting, GroupTree editing, capacity-aware join placement, and —
 // the load-bearing one — single-group byte-identity: a session with one
 // group streamed through the MultiGroupForwarder must reproduce the
-// legacy src/stream schedule bit for bit (in BOTH service disciplines;
+// single-tree FIFO schedule bit for bit (in BOTH service disciplines;
 // a sole ledger debtor owns the full uplink), pinned field-for-field
 // against stream_over_tree() and against a committed golden.
 #include <cstdio>
@@ -18,7 +18,6 @@
 #include "session/multi_forwarder.h"
 #include "session/session.h"
 #include "strategy/strategy.h"
-#include "stream/streaming.h"
 #include "workload/population.h"
 
 namespace cam {
@@ -270,11 +269,11 @@ TEST(SessionSingleGroup, ByteIdenticalToLegacyStreamPlane) {
     // Legacy plane: the SAME recorded tree, full uplinks.
     const MulticastTree tree = layer.group(9)->to_multicast_tree();
     const ConstantLatency latency(10.0);
-    StreamConfig cfg;
+    dataplane::GroupTraffic cfg;
     cfg.packet_bytes = 1250;
     cfg.num_packets = 48;
-    cfg.stream = 9;
-    const StreamResult legacy = stream_over_tree(
+    cfg.group = 9;
+    const dataplane::SessionStats legacy = stream_over_tree(
         tree, [&](Id x) { return dir.info(x).bandwidth_kbps; }, latency,
         cfg);
 

@@ -1,4 +1,4 @@
-#include "stream/streaming.h"
+#include "dataplane/forwarder.h"
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,8 @@
 namespace cam {
 namespace {
 
+using dataplane::GroupTraffic;
+using dataplane::SessionStats;
 using test::capacity_fn;
 using test::make_population;
 
@@ -19,9 +21,9 @@ TEST(Streaming, SingleLinkRateEqualsUplink) {
   MulticastTree tree(1);
   tree.record(1, 2, 1);
   ConstantLatency lat(30.0);
-  StreamConfig cfg;
+  GroupTraffic cfg;
   cfg.num_packets = 32;
-  StreamResult r =
+  SessionStats r =
       stream_over_tree(tree, [](Id) { return 100.0; }, lat, cfg);
   EXPECT_EQ(r.receivers, 1u);
   EXPECT_NEAR(r.session_rate_kbps, 100.0, 1.0);
@@ -36,9 +38,9 @@ TEST(Streaming, FanoutHalvesPerChildRate) {
   tree.record(1, 2, 1);
   tree.record(1, 3, 1);
   ConstantLatency lat(5.0);
-  StreamConfig cfg;
+  GroupTraffic cfg;
   cfg.num_packets = 64;
-  StreamResult r =
+  SessionStats r =
       stream_over_tree(tree, [](Id) { return 100.0; }, lat, cfg);
   EXPECT_EQ(r.receivers, 2u);
   EXPECT_NEAR(r.session_rate_kbps, 50.0, 1.0);
@@ -51,10 +53,10 @@ TEST(Streaming, BottleneckRelayGovernsDownstream) {
   tree.record(1, 2, 1);
   tree.record(2, 3, 2);
   ConstantLatency lat(1.0);
-  StreamConfig cfg;
+  GroupTraffic cfg;
   cfg.num_packets = 64;
   auto uplink = [](Id x) { return x == 2 ? 40.0 : 400.0; };
-  StreamResult r = stream_over_tree(tree, uplink, lat, cfg);
+  SessionStats r = stream_over_tree(tree, uplink, lat, cfg);
   EXPECT_NEAR(r.session_rate_kbps, 40.0, 1.0);
 }
 
@@ -63,10 +65,10 @@ TEST(Streaming, SourcePacingCapsRate) {
   MulticastTree tree(1);
   tree.record(1, 2, 1);
   ConstantLatency lat(1.0);
-  StreamConfig cfg;
+  GroupTraffic cfg;
   cfg.num_packets = 64;
   cfg.source_rate_kbps = 25.0;
-  StreamResult r =
+  SessionStats r =
       stream_over_tree(tree, [](Id) { return 1000.0; }, lat, cfg);
   EXPECT_NEAR(r.session_rate_kbps, 25.0, 0.5);
 }
@@ -74,14 +76,14 @@ TEST(Streaming, SourcePacingCapsRate) {
 TEST(Streaming, DegenerateInputs) {
   MulticastTree lone(9);
   ConstantLatency lat(1.0);
-  StreamResult r =
-      stream_over_tree(lone, [](Id) { return 100.0; }, lat, StreamConfig{});
+  SessionStats r =
+      stream_over_tree(lone, [](Id) { return 100.0; }, lat, GroupTraffic{});
   EXPECT_EQ(r.receivers, 0u);
   EXPECT_EQ(r.session_rate_kbps, 0.0);
 
   MulticastTree pair(1);
   pair.record(1, 2, 1);
-  StreamConfig none;
+  GroupTraffic none;
   none.num_packets = 0;
   r = stream_over_tree(pair, [](Id) { return 100.0; }, lat, none);
   EXPECT_EQ(r.receivers, 0u);
@@ -99,9 +101,9 @@ TEST(Streaming, MatchesAnalyticThroughputOnCamChordTree) {
   double analytic = tree_throughput_kbps(tree, bw);
 
   ConstantLatency lat(10.0);
-  StreamConfig cfg;
+  GroupTraffic cfg;
   cfg.num_packets = 48;
-  StreamResult r = stream_over_tree(tree, bw, lat, cfg);
+  SessionStats r = stream_over_tree(tree, bw, lat, cfg);
   EXPECT_EQ(r.receivers, tree.size() - 1);
   EXPECT_LE(r.session_rate_kbps, analytic * 1.02);
   EXPECT_GE(r.session_rate_kbps, analytic * 0.5);
