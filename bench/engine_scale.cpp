@@ -1,10 +1,10 @@
 // engine_scale — the sharded-engine scale probe.
 //
 // Sweeps oracle-mode multicast over a grid of population sizes and
-// shard counts (default n in {20k, 200k, 1M}, shards in {1, 4, hw}),
-// reusing one frozen population + overlay per n so build cost stays out
-// of the measured cells. Each cell times a burst of sharded multicasts
-// through ShardGroup's conservative windows and reports events
+// shard counts (default n in {20k, 200k, 1M}, shards in {1, 4, usable
+// cores}), reusing one frozen population + overlay per n so build cost
+// stays out of the measured cells. Each cell times a burst of sharded
+// multicasts through ShardGroup's conservative windows and reports events
 // executed, wall ns, events/sec, allocations/event, and the peak RSS
 // observed once that population was live.
 //
@@ -25,7 +25,6 @@
 #include <cstdlib>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <sys/resource.h>
@@ -36,6 +35,7 @@
 #include "overlay/sharded_cast.h"
 #include "runtime/flags.h"
 #include "runtime/shard_team.h"
+#include "runtime/sweep_pool.h"
 #include "util/rng.h"
 
 // ---------------------------------------------------------------------
@@ -142,13 +142,13 @@ void print_cell(const Cell& c, bool last) {
 
 int main(int argc, char** argv) {
   std::string n_csv = "20000,200000,1000000";
-  std::string shard_csv = "1,4,0";  // 0 = hardware concurrency
+  std::string shard_csv = "1,4,0";  // 0 = usable cores
   std::size_t sources = 2;
   std::uint64_t seed = 1;
 
   runtime::FlagSet flags;
   flags.add("n-list", "comma list of population sizes", &n_csv);
-  flags.add("shard-list", "comma list of shard counts (0 = hw cores)",
+  flags.add("shard-list", "comma list of shard counts (0 = usable cores)",
             &shard_csv);
   flags.add("sources", "multicasts per cell", &sources);
   flags.add("seed", "master seed", &seed);
@@ -159,10 +159,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  // Cores from the affinity mask: under `taskset -c 0` every shard
+  // time-slices one core, and bench.sh must gate bounded overhead, not
+  // speedup.
+  const auto cores = static_cast<unsigned>(runtime::usable_cores());
   std::vector<std::uint32_t> shard_counts;
   for (std::uint64_t s : parse_list(shard_csv)) {
-    auto v = static_cast<std::uint32_t>(s == 0 ? hw : s);
+    auto v = static_cast<std::uint32_t>(s == 0 ? cores : s);
     if (std::find(shard_counts.begin(), shard_counts.end(), v) ==
         shard_counts.end()) {
       shard_counts.push_back(v);
@@ -209,7 +212,7 @@ int main(int argc, char** argv) {
       "  \"config\": {\"n_list\": \"%s\", \"shard_list\": \"%s\", "
       "\"sources\": %zu, \"seed\": %llu, \"hw_cores\": %u},\n",
       n_csv.c_str(), shard_csv.c_str(), sources,
-      static_cast<unsigned long long>(seed), hw);
+      static_cast<unsigned long long>(seed), cores);
   std::printf("  \"cells\": [\n");
   for (std::size_t i = 0; i < cells.size(); ++i) {
     print_cell(cells[i], i + 1 == cells.size());

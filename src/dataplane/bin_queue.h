@@ -3,7 +3,8 @@
 // IRON/GNAT-style backpressure forwarding organizes a node's outbound
 // backlog as one BinQueue per neighbor link, and inside each queue one
 // FIFO *bin* per group/stream. Two views drive the forwarding decision
-// (src/dataplane/forwarder.h):
+// (src/dataplane/forwarder.h, kBackpressure and kLedgerShares; the
+// kShared uplink needs no bins and keeps one plain FIFO per node):
 //
 //   * FIFO view — the copy with the lowest global enqueue stamp across
 //     all bins. Serving this view exclusively reproduces the
@@ -33,14 +34,15 @@ namespace cam::dataplane {
 /// defines FIFO service order; `delegated` marks copies received
 /// from a congested peer, which must not be delegated onward (no
 /// ping-pong). `slot` is `dest`'s member slot in the packet's group, so
-/// the arrival needs no lookup.
+/// the arrival needs no lookup; `edge` is the forwarder's per-edge byte
+/// counter the copy is accounted in.
 struct QueuedCopy {
   PacketRef pkt = kNullPacket;
   std::uint32_t dest = 0;
   std::uint64_t order = 0;
-  SimTime enqueue_ms = 0;
   bool delegated = false;
   std::uint32_t slot = 0;
+  std::uint32_t edge = 0;
 };
 
 /// FIFO ring buffer of copies for one (neighbor, stream) bin.

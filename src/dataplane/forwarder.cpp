@@ -22,6 +22,22 @@ constexpr double kHysteresisMs = 2.0;
 constexpr double kCongestionSlackMs = 8.0;
 constexpr double kDepthReportIntervalMs = 20.0;
 
+constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+
+/// An event time as an unsigned integer of the same order: IEEE-754
+/// doubles ordered by flipping the sign bit of non-negatives and every
+/// bit of negatives. Adding +0.0 folds -0.0 onto +0.0, which compare
+/// equal as doubles; event times are never NaN.
+std::uint64_t time_key(SimTime t) {
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(t + 0.0);
+  return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
+}
+
+SimTime key_time(std::uint64_t key) {
+  return std::bit_cast<SimTime>((key & kSignBit) != 0 ? key & ~kSignBit
+                                                      : ~key);
+}
+
 /// Members ascending by id, children ascending (the relay rotation
 /// order of the recorded tree).
 GroupSpec tree_spec(const MulticastTree& tree) {
@@ -85,7 +101,10 @@ Forwarder::Forwarder(const std::vector<GroupSpec>& groups,
     nodes_[i].links.reserve(kids[i].size());
     for (Id c : kids[i]) {
       nodes_[i].links.push_back(
-          Link{index.at(c), latency_.latency(c, ids_[i]), {}, 0, 0});
+          Link{index.at(c), latency_.latency(c, ids_[i]), 0, 0});
+    }
+    if (cfg_.mode != SchedMode::kShared) {
+      nodes_[i].queues.resize(nodes_[i].links.size());
     }
   }
 
@@ -122,7 +141,9 @@ Forwarder::Forwarder(const std::vector<GroupSpec>& groups,
             links.begin(), links.end(), child,
             [](const Link& l, std::uint32_t v) { return l.child < v; });
         gn.links.push_back({static_cast<std::uint32_t>(it - links.begin()),
-                            g.slot_of.at(child)});
+                            g.slot_of.at(child),
+                            static_cast<std::uint32_t>(edge_bytes_.size())});
+        edge_bytes_.push_back(0);
       }
       if (cfg_.mode == SchedMode::kLedgerShares) gn.rate_kbps = mem.share_kbps;
     }
@@ -137,27 +158,72 @@ void Forwarder::resolve_uplinks(const std::function<double(Id)>& kbps_of) {
   }
 }
 
-void Forwarder::push_event(Event e) {
-  e.seq = next_event_seq_++;
-  heap_.push_back(e);
-  std::push_heap(heap_.begin(), heap_.end(), EventLater{});
+void Forwarder::push_event(SimTime at, const Event& e) {
+  std::uint32_t slot;
+  if (!free_events_.empty()) {
+    slot = free_events_.back();
+    free_events_.pop_back();
+    events_[slot] = e;
+  } else {
+    if (events_.size() >= (std::size_t{1} << kSlotBits)) {
+      throw std::length_error("forwarder: too many pending events");
+    }
+    slot = static_cast<std::uint32_t>(events_.size());
+    events_.push_back(e);
+  }
+  if (next_event_seq_ >> (64 - kSlotBits) != 0) {
+    throw std::overflow_error("forwarder: event sequence numbers exhausted");
+  }
+  const EventKey key = EventKey{time_key(at)} << 64 |
+                       (next_event_seq_++ << kSlotBits | slot);
+  heap_.push_back(key);
+  sift_up(heap_.size() - 1, key);
+}
+
+void Forwarder::sift_up(std::size_t i, EventKey key) {
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 4;
+    if (!(key < heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = key;
+}
+
+Forwarder::EventKey Forwarder::pop_event() {
+  const EventKey top = heap_.front();
+  const EventKey last = heap_.back();
+  heap_.pop_back();
+  const std::size_t size = heap_.size();
+  if (size == 0) return top;
+  // Floyd's pop on a 4-ary heap (half a binary heap's depth): walk the
+  // hole down to a leaf along the smallest child, then sift the old
+  // last key up from there. It nearly always belongs near the bottom,
+  // so this skips comparing it at every level on the way down.
+  std::size_t i = 0;
+  for (std::size_t first = 1; first < size; first = 4 * i + 1) {
+    std::size_t best = first;
+    const std::size_t end = std::min(first + 4, size);
+    for (std::size_t c = first + 1; c < end; ++c) {
+      best = heap_[c] < heap_[best] ? c : best;
+    }
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  sift_up(i, last);
+  return top;
 }
 
 double Forwarder::node_backlog_ms(std::uint32_t node) const {
   const Node& n = nodes_[node];
-  std::uint64_t bytes = relays_.empty() ? 0 : relays_[node].depth_bytes();
-  for (const Link& l : n.links) bytes += l.queue.depth_bytes();
-  return static_cast<double>(bytes) * 8.0 / n.kbps;
+  return static_cast<double>(n.depth_bytes) * 8.0 / n.kbps;
 }
 
 double Forwarder::group_backlog_ms(std::uint32_t gidx,
                                    const GroupNode& gn) const {
-  const Node& n = nodes_[gn.node];
   std::uint64_t bytes =
       relays_.empty() ? 0 : relays_[gn.node].depth_bytes(gidx);
-  for (const GroupLink& gl : gn.links) {
-    bytes += n.links[gl.link].queue.depth_bytes(gidx);
-  }
+  for (const GroupLink& gl : gn.links) bytes += edge_bytes_[gl.edge];
   return static_cast<double>(bytes) * 8.0 / gn.rate_kbps;
 }
 
@@ -170,7 +236,9 @@ bool Forwarder::holds(const Group& g, std::uint32_t slot,
 
 std::uint32_t Forwarder::dense_index(Id id) const {
   const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
-  assert(it != ids_.end() && *it == id && "script id not in any tree");
+  if (it == ids_.end() || *it != id) {
+    throw std::invalid_argument("failover script names a node in no tree");
+  }
   return static_cast<std::uint32_t>(it - ids_.begin());
 }
 
@@ -178,8 +246,38 @@ std::uint32_t Forwarder::link_index(const Node& n, std::uint32_t child) const {
   for (std::size_t i = 0; i < n.links.size(); ++i) {
     if (n.links[i].child == child) return static_cast<std::uint32_t>(i);
   }
-  assert(false && "no link to that child");
-  return 0;
+  throw std::logic_error("forwarder: no link from a parent to its child");
+}
+
+void Forwarder::enqueue(std::uint32_t node, std::uint32_t gidx,
+                        const GroupLink& gl, PacketRef pkt) {
+  Node& n = nodes_[node];
+  const Link& l = n.links[gl.link];
+  const std::uint32_t bytes = groups_[gidx].packet_bytes;
+  if (cfg_.mode == SchedMode::kShared) {
+    std::uint32_t idx = fifo_free_;
+    if (idx != kNil) {
+      fifo_free_ = fifo_[idx].next;
+    } else {
+      idx = static_cast<std::uint32_t>(fifo_.size());
+      fifo_.emplace_back();
+    }
+    fifo_[idx] = FifoCopy{l.latency_ms, pkt, l.child, gl.slot, gidx, gl.edge,
+                          kNil};
+    if (n.fifo_tail == kNil) {
+      n.fifo_head = idx;
+    } else {
+      fifo_[n.fifo_tail].next = idx;
+    }
+    n.fifo_tail = idx;
+  } else {
+    n.queues[gl.link].push(
+        gidx, QueuedCopy{pkt, l.child, next_order_++, false, gl.slot, gl.edge},
+        bytes);
+  }
+  n.depth_bytes += bytes;
+  edge_bytes_[gl.edge] += bytes;
+  ++live_copies_;
 }
 
 void Forwarder::relay_to_children(std::uint32_t gidx, std::uint32_t slot,
@@ -187,14 +285,12 @@ void Forwarder::relay_to_children(std::uint32_t gidx, std::uint32_t slot,
   Group& g = groups_[gidx];
   GroupNode& gn = g.members[slot];
   if (gn.links.empty()) return;
-  Node& n = nodes_[gn.node];
   // Round-robin rotation by sequence number over THIS group's children:
   // no child permanently pays the full serialization delay.
   const std::uint32_t seq = pool_.get(pkt).seq;
   const std::size_t rot = seq % gn.links.size();
   for (std::size_t j = 0; j < gn.links.size(); ++j) {
     const GroupLink& gl = gn.links[(j + rot) % gn.links.size()];
-    Link& l = n.links[gl.link];
     // Bitmap-aware relay: a reattached child may already hold packets
     // this parent has yet to see (delivered along its pre-failover
     // path). The child's bitmap arrived with the reattach handshake, so
@@ -206,11 +302,7 @@ void Forwarder::relay_to_children(std::uint32_t gidx, std::uint32_t slot,
       continue;
     }
     pool_.add_ref(pkt);
-    const std::uint32_t bytes = pool_.get(pkt).bytes;
-    l.queue.push(gidx,
-                 QueuedCopy{pkt, l.child, next_order_++, now, false, gl.slot},
-                 bytes);
-    ++live_copies_;
+    enqueue(gn.node, gidx, gl, pkt);
   }
   start_service(gidx, slot, now);
   update_congestion(gidx, slot, now);
@@ -228,17 +320,67 @@ void Forwarder::start_service(std::uint32_t gidx, std::uint32_t slot,
 
 void Forwarder::serve_node(std::uint32_t node, SimTime now) {
   if (dead_[node]) return;
+  if (cfg_.mode == SchedMode::kShared) {
+    serve_fifo(node, now);
+  } else {
+    serve_pressure(node, now);
+  }
+}
+
+void Forwarder::transmit(std::uint32_t node, std::uint32_t gidx,
+                         PacketRef pkt, std::uint32_t dest, std::uint32_t slot,
+                         SimTime latency_ms, double backlog_ms, SimTime now) {
   Node& n = nodes_[node];
-  const bool backpressure = cfg_.mode == SchedMode::kBackpressure;
+  const double tx = groups_[gidx].packet_kbit / n.kbps * 1000.0;
+  n.tx_busy = true;
+  ++totals_.copies_sent;
+  sink_.observe("dataplane.backlog_ms", backlog_ms);
+  const SimTime done = now + tx;
+  push_event(done, {.node = node, .kind = EventKind::kTxFree});
+  // The queued ref rides the transmission; arrivals from a sender that
+  // has died meanwhile are discarded.
+  push_event(done + latency_ms,
+             {.aux = node, .node = dest, .dest = slot, .gidx = gidx,
+              .pkt = pkt, .kind = EventKind::kArrival});
+}
+
+Forwarder::FifoCopy Forwarder::pop_fifo(Node& n) {
+  const std::uint32_t idx = n.fifo_head;
+  const FifoCopy copy = fifo_[idx];
+  n.fifo_head = copy.next;
+  if (n.fifo_head == kNil) n.fifo_tail = kNil;
+  fifo_[idx].next = fifo_free_;
+  fifo_free_ = idx;
+  return copy;
+}
+
+void Forwarder::serve_fifo(std::uint32_t node, SimTime now) {
+  // The paper's uplink: the oldest copy queued at the node, whatever
+  // its group or link — the one place where groups contend.
+  Node& n = nodes_[node];
+  if (n.fifo_head == kNil) return;  // transmitter idles
+  const double my_backlog = node_backlog_ms(node);
+  if (my_backlog > totals_.max_backlog_ms) totals_.max_backlog_ms = my_backlog;
+  const FifoCopy copy = pop_fifo(n);
+  const std::uint32_t bytes = groups_[copy.gidx].packet_bytes;
+  n.depth_bytes -= bytes;
+  edge_bytes_[copy.edge] -= bytes;
+  transmit(node, copy.gidx, copy.pkt, copy.dest, copy.slot, copy.latency_ms,
+           my_backlog, now);
+  if (admission_on()) {
+    update_congestion(copy.gidx, groups_[copy.gidx].slot_of.at(node), now);
+  }
+}
+
+void Forwarder::serve_pressure(std::uint32_t node, SimTime now) {
+  Node& n = nodes_[node];
   for (;;) {
     // Global-FIFO head: lowest enqueue stamp across the relay queue and
-    // every group's bins on every link — the one place where groups
-    // contend for the uplink. -1 marks the relay queue.
+    // every group's bins on every link. -1 marks the relay queue.
     int fifo_q = -1;
-    const QueuedCopy* fifo =
-        backpressure ? relays_[node].peek_fifo() : nullptr;
-    for (std::size_t i = 0; i < n.links.size(); ++i) {
-      const QueuedCopy* c = n.links[i].queue.peek_fifo();
+    const QueuedCopy* fifo = relays_[node].peek_fifo();
+    for (std::size_t i = 0; i < n.queues.size(); ++i) {
+      const QueuedCopy* c = n.queues[i].peek_fifo();
       if (c != nullptr && (fifo == nullptr || c->order < fifo->order)) {
         fifo = c;
         fifo_q = static_cast<int>(i);
@@ -259,13 +401,11 @@ void Forwarder::serve_node(std::uint32_t node, SimTime now) {
     // service order is pure FIFO, which is what keeps the uncongested
     // backpressure schedule bit-identical to kShared. A real hotspot
     // grows without bound and clears the gate regardless.
-    bool congested_here = false;
-    if (backpressure) {
-      const double kbit = groups_[pool_.get(fifo->pkt).stream].packet_kbit;
-      const double burst_ms =
-          static_cast<double>(n.links.size()) * (kbit / n.kbps * 1000.0);
-      congested_here = my_backlog > 2.0 * burst_ms + kCongestionSlackMs;
-    }
+    const double kbit = groups_[pool_.get(fifo->pkt).stream].packet_kbit;
+    const double burst_ms =
+        static_cast<double>(n.links.size()) * (kbit / n.kbps * 1000.0);
+    const bool congested_here =
+        my_backlog > 2.0 * burst_ms + kCongestionSlackMs;
 
     int chosen_q = fifo_q;
     const QueuedCopy* chosen = fifo;
@@ -277,8 +417,9 @@ void Forwarder::serve_node(std::uint32_t node, SimTime now) {
       // requires a hysteresis-sized advantage; ties keep tree order.
       auto gradient = [&](int q) {
         if (q < 0) return relays_[node].depth_bytes() * 8.0 / n.kbps;
-        const Link& l = n.links[static_cast<std::size_t>(q)];
-        const double local = l.queue.depth_bytes() * 8.0 / n.kbps;
+        const std::size_t i = static_cast<std::size_t>(q);
+        const Link& l = n.links[i];
+        const double local = n.queues[i].depth_bytes() * 8.0 / n.kbps;
         const double remote =
             l.adv_backlog_ms +
             l.delegated_since_bytes * 8.0 / nodes_[l.child].kbps;
@@ -286,8 +427,8 @@ void Forwarder::serve_node(std::uint32_t node, SimTime now) {
       };
       int best_q = -2;
       double best_grad = -kInf;
-      for (std::size_t i = 0; i < n.links.size(); ++i) {
-        if (n.links[i].queue.empty()) continue;
+      for (std::size_t i = 0; i < n.queues.size(); ++i) {
+        if (n.queues[i].empty()) continue;
         const double g = gradient(static_cast<int>(i));
         if (g > best_grad) {
           best_grad = g;
@@ -297,8 +438,7 @@ void Forwarder::serve_node(std::uint32_t node, SimTime now) {
       if (best_q >= -1 && best_q != fifo_q &&
           best_grad > gradient(fifo_q) + kHysteresisMs) {
         chosen_q = best_q;
-        chosen = n.links[static_cast<std::size_t>(best_q)]
-                     .queue.peek_pressure();
+        chosen = n.queues[static_cast<std::size_t>(best_q)].peek_pressure();
         by_pressure = true;
       }
     }
@@ -310,8 +450,12 @@ void Forwarder::serve_node(std::uint32_t node, SimTime now) {
     auto pop_chosen = [&]() -> QueuedCopy {
       BinQueue& q = chosen_q < 0
                         ? relays_[node]
-                        : n.links[static_cast<std::size_t>(chosen_q)].queue;
-      return by_pressure ? q.pop_pressure(bytes) : q.pop_fifo(bytes);
+                        : n.queues[static_cast<std::size_t>(chosen_q)];
+      const QueuedCopy copy =
+          by_pressure ? q.pop_pressure(bytes) : q.pop_fifo(bytes);
+      n.depth_bytes -= bytes;
+      if (chosen_q >= 0) edge_bytes_[copy.edge] -= bytes;
+      return copy;
     };
     auto after_dequeue = [&] {
       if (admission_on()) update_congestion(gidx, g.slot_of.at(node), now);
@@ -319,8 +463,7 @@ void Forwarder::serve_node(std::uint32_t node, SimTime now) {
 
     // Latency-constrained mode: a copy past its deadline at service
     // time becomes a zombie — dropped, counted, never transmitted.
-    if (backpressure && cfg_.deadline_ms > 0 &&
-        now - pkt.emitted_ms > cfg_.deadline_ms) {
+    if (cfg_.deadline_ms > 0 && now - pkt.emitted_ms > cfg_.deadline_ms) {
       const QueuedCopy copy = pop_chosen();
       ++g.stats.zombie_copies;
       g.stats.zombie_bytes += bytes;
@@ -360,44 +503,22 @@ void Forwarder::serve_node(std::uint32_t node, SimTime now) {
         helper.delegated_since_bytes += bytes;
         ++g.stats.delegated_copies;
         sink_.count("dataplane.delegated");
-        Event e;
-        e.time = now + helper.latency_ms;
-        e.kind = EventKind::kDelegateArrive;
-        e.node = helper.child;
-        e.dest = copy.dest;
-        e.gidx = gidx;
-        e.pkt = copy.pkt;  // the queued ref rides the token
-        e.aux = copy.slot;
-        push_event(e);
+        // The queued ref rides the token.
+        push_event(now + helper.latency_ms,
+                   {.aux = copy.slot, .node = helper.child, .dest = copy.dest,
+                    .gidx = gidx, .pkt = copy.pkt,
+                    .kind = EventKind::kDelegateArrive});
         after_dequeue();
         continue;
       }
     }
 
-    // Transmit: done = start + tx, arrival = done + link latency.
     const QueuedCopy copy = pop_chosen();
-    const double tx = g.packet_kbit / n.kbps * 1000.0;
-    n.tx_busy = true;
-    ++totals_.copies_sent;
-    sink_.observe("dataplane.backlog_ms", my_backlog);
-    const SimTime done = now + tx;
-    Event free;
-    free.time = done;
-    free.kind = EventKind::kTxFree;
-    free.node = node;
-    push_event(free);
-    Event arr;
-    arr.time = done + (chosen_q >= 0
-                           ? n.links[static_cast<std::size_t>(chosen_q)]
-                                 .latency_ms
-                           : latency_.latency(ids_[node], ids_[copy.dest]));
-    arr.kind = EventKind::kArrival;
-    arr.node = copy.dest;
-    arr.dest = copy.slot;
-    arr.gidx = gidx;
-    arr.pkt = copy.pkt;  // the queued ref rides the transmission
-    arr.aux = node;      // sender: arrivals from the dead are discarded
-    push_event(arr);
+    transmit(node, gidx, copy.pkt, copy.dest, copy.slot,
+             chosen_q >= 0
+                 ? n.links[static_cast<std::size_t>(chosen_q)].latency_ms
+                 : latency_.latency(ids_[node], ids_[copy.dest]),
+             my_backlog, now);
     after_dequeue();
     return;
   }
@@ -410,48 +531,43 @@ void Forwarder::serve_group(std::uint32_t gidx, std::uint32_t slot,
   if (dead_[gn.node]) return;
   Node& n = nodes_[gn.node];
   // FIFO head among THIS group's bins only: the virtual transmitter
-  // never sees other groups' queued bytes.
-  int fifo_q = -1;
+  // never sees other groups' queued bytes. Pruned edges drain too.
+  const GroupLink* from = nullptr;
   const QueuedCopy* fifo = nullptr;
-  for (const GroupLink& gl : gn.links) {
-    const QueuedCopy* c = n.links[gl.link].queue.peek_stream(gidx);
-    if (c != nullptr && (fifo == nullptr || c->order < fifo->order)) {
-      fifo = c;
-      fifo_q = static_cast<int>(gl.link);
+  auto scan = [&](const std::vector<GroupLink>& links) {
+    for (const GroupLink& gl : links) {
+      const QueuedCopy* c = n.queues[gl.link].peek_stream(gidx);
+      if (c != nullptr && (fifo == nullptr || c->order < fifo->order)) {
+        fifo = c;
+        from = &gl;
+      }
     }
-  }
+  };
+  scan(gn.links);
+  scan(gn.pruned_links);
   if (fifo == nullptr) return;
 
   const double my_backlog = group_backlog_ms(gidx, gn);
   if (my_backlog > totals_.max_backlog_ms) totals_.max_backlog_ms = my_backlog;
 
-  Link& l = n.links[static_cast<std::size_t>(fifo_q)];
-  const QueuedCopy copy = l.queue.pop_stream(gidx, pool_.get(fifo->pkt).bytes);
+  const QueuedCopy copy =
+      n.queues[from->link].pop_stream(gidx, g.packet_bytes);
+  n.depth_bytes -= g.packet_bytes;
+  edge_bytes_[copy.edge] -= g.packet_bytes;
 
   const double tx = g.packet_kbit / gn.rate_kbps * 1000.0;
   gn.vtx_busy = true;
   ++totals_.copies_sent;
   const SimTime done = now + tx;
-  Event free;
-  free.time = done;
-  free.kind = EventKind::kVtxFree;
-  free.node = gn.node;
-  free.dest = slot;
-  free.gidx = gidx;
-  push_event(free);
-  Event arr;
-  arr.time = done + l.latency_ms;
-  arr.kind = EventKind::kArrival;
-  arr.node = copy.dest;
-  arr.dest = copy.slot;
-  arr.gidx = gidx;
-  arr.pkt = copy.pkt;
-  arr.aux = gn.node;  // sender: arrivals from the dead are discarded
-  push_event(arr);
+  push_event(done, {.node = gn.node, .dest = slot, .gidx = gidx,
+                    .kind = EventKind::kVtxFree});
+  push_event(done + n.links[from->link].latency_ms,
+             {.aux = gn.node, .node = copy.dest, .dest = copy.slot,
+              .gidx = gidx, .pkt = copy.pkt, .kind = EventKind::kArrival});
   update_congestion(gidx, slot, now);
 }
 
-void Forwarder::handle_arrival(const Event& e) {
+void Forwarder::handle_arrival(const Event& e, SimTime now) {
   Group& g = groups_[e.gidx];
   // A copy to or from a crashed node evaporates: the dead can't
   // receive, and late frames from a dead sender must not land after the
@@ -473,55 +589,52 @@ void Forwarder::handle_arrival(const Event& e) {
   word |= std::uint64_t{1} << (pkt.seq % 64);
   ++gn.delivered;
   ++g.stats.copies_delivered;
-  if (e.time < gn.first_arrival_ms) gn.first_arrival_ms = e.time;
-  if (e.time > gn.last_arrival_ms) gn.last_arrival_ms = e.time;
-  g.latencies_ms.push_back(e.time - pkt.emitted_ms);
-  relay_to_children(e.gidx, slot, e.pkt, e.time);
+  if (now < gn.first_arrival_ms) gn.first_arrival_ms = now;
+  if (now > gn.last_arrival_ms) gn.last_arrival_ms = now;
+  g.latencies_ms.push_back(now - pkt.emitted_ms);
+  relay_to_children(e.gidx, slot, e.pkt, now);
   pool_.release(e.pkt);
   --live_copies_;
 }
 
-void Forwarder::handle_delegate(const Event& e) {
+void Forwarder::handle_delegate(const Event& e, SimTime now) {
   // The helper queues the duty in its relay queue; the token's ref
   // becomes the queued copy's ref.
+  const std::uint32_t bytes = groups_[e.gidx].packet_bytes;
   relays_[e.node].push(e.gidx,
-                       QueuedCopy{e.pkt, e.dest, next_order_++, e.time, true,
-                                  static_cast<std::uint32_t>(e.aux)},
-                       pool_.get(e.pkt).bytes);
-  if (!nodes_[e.node].tx_busy) serve_node(e.node, e.time);
+                       QueuedCopy{e.pkt, e.dest, next_order_++, true,
+                                  static_cast<std::uint32_t>(e.aux), 0},
+                       bytes);
+  nodes_[e.node].depth_bytes += bytes;
+  if (!nodes_[e.node].tx_busy) serve_node(e.node, now);
   if (admission_on()) {
-    update_congestion(e.gidx, groups_[e.gidx].slot_of.at(e.node), e.time);
+    update_congestion(e.gidx, groups_[e.gidx].slot_of.at(e.node), now);
   }
 }
 
-void Forwarder::handle_depth_report(const Event& e) {
+void Forwarder::handle_depth_report(const Event& e, SimTime now) {
   if (!active()) return;  // traffic drained; stop the chain
   const Group& g = groups_[e.gidx];
   const GroupNode& gn = g.members[e.dest];
   const double backlog = node_backlog_ms(e.node);
-  Event adv;
-  adv.time = e.time + gn.parent_latency_ms;
-  adv.kind = EventKind::kDepthArrive;
-  adv.node = g.members[gn.parent_slot].node;
-  adv.dest = e.node;
-  adv.aux = std::bit_cast<std::uint64_t>(backlog);
   if (feed_) {
     // Piggyback mode: the value travels through the external
     // transport; the event only marks when the parent looks.
-    feed_.publish(ids_[e.node], backlog, e.time);
+    feed_.publish(ids_[e.node], backlog, now);
   }
-  push_event(adv);
-  Event next = e;
-  next.time = e.time + kDepthReportIntervalMs;
-  push_event(next);
+  push_event(now + gn.parent_latency_ms,
+             {.aux = std::bit_cast<std::uint64_t>(backlog),
+              .node = g.members[gn.parent_slot].node, .dest = e.node,
+              .kind = EventKind::kDepthArrive});
+  push_event(now + kDepthReportIntervalMs, e);
 }
 
-void Forwarder::handle_depth_arrive(const Event& e) {
+void Forwarder::handle_depth_arrive(const Event& e, SimTime now) {
   Node& n = nodes_[e.node];
   Link& l = n.links[link_index(n, e.dest)];
   double value = std::bit_cast<double>(e.aux);
   if (feed_) {
-    feed_.advance(e.time);
+    feed_.advance(now);
     value = feed_.sample(ids_[e.node], ids_[e.dest]);
     if (std::isnan(value)) return;  // lost in transit: keep old view
   }
@@ -529,7 +642,7 @@ void Forwarder::handle_depth_arrive(const Event& e) {
   l.delegated_since_bytes = 0;
 }
 
-void Forwarder::handle_flag(const Event& e) {
+void Forwarder::handle_flag(const Event& e, SimTime now) {
   Group& g = groups_[e.gidx];
   GroupNode& parent = g.members[e.dest];
   GroupNode& sender = g.members[g.slot_of.at(e.node)];
@@ -548,7 +661,7 @@ void Forwarder::handle_flag(const Event& e) {
     assert(parent.congested_children > 0);
     --parent.congested_children;
   }
-  update_congestion(e.gidx, e.dest, e.time);
+  update_congestion(e.gidx, e.dest, now);
 }
 
 void Forwarder::update_congestion(std::uint32_t gidx, std::uint32_t slot,
@@ -570,14 +683,10 @@ void Forwarder::update_congestion(std::uint32_t gidx, std::uint32_t slot,
   }
   if (subtree != gn.flag_sent) {
     gn.flag_sent = subtree;
-    Event e;
-    e.time = now + gn.parent_latency_ms;
-    e.kind = EventKind::kFlagArrive;
-    e.node = gn.node;
-    e.dest = gn.parent_slot;
-    e.gidx = gidx;
-    e.aux = subtree ? 1 : 0;
-    push_event(e);
+    push_event(now + gn.parent_latency_ms,
+               {.aux = subtree ? 1u : 0u, .node = gn.node,
+                .dest = gn.parent_slot, .gidx = gidx,
+                .kind = EventKind::kFlagArrive});
   }
 }
 
@@ -591,13 +700,8 @@ void Forwarder::maybe_resume(std::uint32_t gidx, SimTime now) {
               g.next_emit);
   // Re-anchor this group's emission clock; the others are untouched.
   g.emit_offset = now - static_cast<SimTime>(g.next_emit) * g.gen_interval;
-  Event e;
-  e.time = now;
-  e.kind = EventKind::kSourceEmit;
-  e.node = source;
-  e.gidx = gidx;
-  e.aux = g.next_emit;
-  push_event(e);
+  push_event(now, {.aux = g.next_emit, .node = source, .gidx = gidx,
+                   .kind = EventKind::kSourceEmit});
 }
 
 void Forwarder::emit(std::uint32_t gidx, std::uint32_t seq, SimTime now) {
@@ -613,8 +717,7 @@ void Forwarder::emit(std::uint32_t gidx, std::uint32_t seq, SimTime now) {
                 1, seq);
     return;  // maybe_resume() re-schedules this seq when the flag clears
   }
-  const PacketRef pkt = pool_.alloc(
-      gidx, seq, static_cast<std::uint32_t>(g.traffic.packet_bytes), now);
+  const PacketRef pkt = pool_.alloc(gidx, seq, g.packet_bytes, now);
   g.delivered_bits[g.source_slot * g.words_per_member + seq / 64] |=
       std::uint64_t{1} << (seq % 64);
   g.emit_ms[seq] = now;
@@ -624,14 +727,10 @@ void Forwarder::emit(std::uint32_t gidx, std::uint32_t seq, SimTime now) {
   pool_.release(pkt);
   g.next_emit = seq + 1;
   if (g.next_emit < g.traffic.num_packets) {
-    Event e;
-    e.time = g.emit_offset +
-             static_cast<SimTime>(g.next_emit) * g.gen_interval;
-    e.kind = EventKind::kSourceEmit;
-    e.node = src.node;
-    e.gidx = gidx;
-    e.aux = g.next_emit;
-    push_event(e);
+    push_event(
+        g.emit_offset + static_cast<SimTime>(g.next_emit) * g.gen_interval,
+        {.aux = g.next_emit, .node = src.node, .gidx = gidx,
+         .kind = EventKind::kSourceEmit});
   }
 }
 
@@ -666,6 +765,7 @@ MultiGroupStats Forwarder::run(const std::vector<GroupTraffic>& traffic,
     assert(g.words_per_member == 0 && "one traffic entry per group");
     assert(t.throttle > 0 && t.throttle <= 1.0);
     g.traffic = t;
+    g.packet_bytes = static_cast<std::uint32_t>(t.packet_bytes);
     g.packet_kbit = static_cast<double>(t.packet_bytes) * 8.0 / 1000.0;
     if (t.throttle < 1.0) {
       // Degraded source: pace at throttle * the nominal rate. A
@@ -690,6 +790,7 @@ MultiGroupStats Forwarder::run(const std::vector<GroupTraffic>& traffic,
             ? static_cast<std::uint64_t>(g.members.size() - 1) *
                   t.num_packets
             : 0;
+    g.latencies_ms.reserve(g.stats.copies_expected);
     g.emit_offset = t.start_ms;
     for (GroupNode& gn : g.members) {
       gn.first_arrival_ms = kInf;
@@ -700,13 +801,20 @@ MultiGroupStats Forwarder::run(const std::vector<GroupTraffic>& traffic,
   }
 
   // Pre-size the hot-path storage: the pool covers a few packets' worth
-  // of full-tree fan-out before its first mid-run slab growth, each
-  // queue its own small working set.
+  // of full-tree fan-out before its first mid-run slab growth, the
+  // event heap and the kShared FIFO slab a few events or copies per
+  // node, each bin queue its own small working set.
   const bool backpressure = cfg_.mode == SchedMode::kBackpressure;
   pool_.reserve(2 * nodes_.size() + 64);
   heap_.reserve(4 * nodes_.size() + 16);
-  for (Node& n : nodes_) {
-    for (Link& l : n.links) l.queue.reserve(1, 8);
+  events_.reserve(4 * nodes_.size() + 16);
+  free_events_.reserve(4 * nodes_.size() + 16);
+  if (cfg_.mode == SchedMode::kShared) {
+    fifo_.reserve(2 * nodes_.size() + 64);
+  } else {
+    for (Node& n : nodes_) {
+      for (BinQueue& q : n.queues) q.reserve(1, 8);
+    }
   }
   if (backpressure) {
     relays_.resize(nodes_.size());
@@ -716,12 +824,9 @@ MultiGroupStats Forwarder::run(const std::vector<GroupTraffic>& traffic,
   for (std::uint32_t gidx : active_) {
     Group& g = groups_[gidx];
     if (g.members.size() <= 1 || g.traffic.num_packets == 0) continue;
-    Event first;
-    first.time = g.traffic.start_ms;
-    first.kind = EventKind::kSourceEmit;
-    first.node = g.members[g.source_slot].node;
-    first.gidx = gidx;
-    push_event(first);
+    push_event(g.traffic.start_ms,
+               {.node = g.members[g.source_slot].node, .gidx = gidx,
+                .kind = EventKind::kSourceEmit});
   }
   if (backpressure) {
     for (std::uint32_t gidx : active_) {
@@ -729,13 +834,9 @@ MultiGroupStats Forwarder::run(const std::vector<GroupTraffic>& traffic,
       if (g.members.size() <= 1 || g.traffic.num_packets == 0) continue;
       for (std::uint32_t slot = 0; slot < g.members.size(); ++slot) {
         if (slot == g.source_slot) continue;
-        Event e;
-        e.time = kDepthReportIntervalMs;
-        e.kind = EventKind::kDepthReport;
-        e.node = g.members[slot].node;
-        e.dest = slot;
-        e.gidx = gidx;
-        push_event(e);
+        push_event(kDepthReportIntervalMs,
+                   {.node = g.members[slot].node, .dest = slot, .gidx = gidx,
+                    .kind = EventKind::kDepthReport});
       }
     }
   }
@@ -744,75 +845,72 @@ MultiGroupStats Forwarder::run(const std::vector<GroupTraffic>& traffic,
   // same-instant tie resolves crash-before-consequence; prunes before
   // reattaches for the same reason.
   for (const FailoverScript::Crash& c : script.crashes) {
-    Event e;
-    e.time = c.at_ms;
-    e.kind = EventKind::kCrash;
-    e.node = dense_index(c.node);
-    push_event(e);
+    push_event(c.at_ms,
+               {.node = dense_index(c.node), .kind = EventKind::kCrash});
   }
   for (const FailoverScript::Prune& p : script.prunes) {
-    Event e;
-    e.time = p.at_ms;
-    e.kind = EventKind::kPrune;
-    e.node = dense_index(p.parent);
-    e.dest = dense_index(p.child);
-    e.gidx = group_index_.at(p.group);
-    push_event(e);
+    push_event(p.at_ms, {.node = dense_index(p.parent),
+                         .dest = dense_index(p.child),
+                         .gidx = group_index_.at(p.group),
+                         .kind = EventKind::kPrune});
   }
   for (const FailoverScript::Reattach& r : script.reattaches) {
-    Event e;
-    e.time = r.at_ms;
-    e.kind = EventKind::kReattach;
-    e.node = dense_index(r.child);
-    e.dest = dense_index(r.parent);
-    e.gidx = group_index_.at(r.group);
-    push_event(e);
+    push_event(r.at_ms, {.node = dense_index(r.child),
+                         .dest = dense_index(r.parent),
+                         .gidx = group_index_.at(r.group),
+                         .kind = EventKind::kReattach});
   }
 
   while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), EventLater{});
-    const Event e = heap_.back();
-    heap_.pop_back();
+    const EventKey key = pop_event();
+    const SimTime now = key_time(static_cast<std::uint64_t>(key >> 64));
+    const auto slot = static_cast<std::uint32_t>(
+        static_cast<std::uint64_t>(key) & ((std::uint64_t{1} << kSlotBits) - 1));
+    const Event e = events_[slot];
+    free_events_.push_back(slot);
     switch (e.kind) {
       case EventKind::kSourceEmit:
-        emit(e.gidx, static_cast<std::uint32_t>(e.aux), e.time);
+        emit(e.gidx, static_cast<std::uint32_t>(e.aux), now);
         break;
       case EventKind::kArrival:
-        handle_arrival(e);
+        handle_arrival(e, now);
         break;
       case EventKind::kTxFree:
         nodes_[e.node].tx_busy = false;
-        serve_node(e.node, e.time);
+        serve_node(e.node, now);
         break;
       case EventKind::kVtxFree:
         groups_[e.gidx].members[e.dest].vtx_busy = false;
-        serve_group(e.gidx, e.dest, e.time);
+        serve_group(e.gidx, e.dest, now);
         break;
       case EventKind::kDelegateArrive:
-        handle_delegate(e);
+        handle_delegate(e, now);
         break;
       case EventKind::kDepthReport:
-        handle_depth_report(e);
+        handle_depth_report(e, now);
         break;
       case EventKind::kDepthArrive:
-        handle_depth_arrive(e);
+        handle_depth_arrive(e, now);
         break;
       case EventKind::kFlagArrive:
-        handle_flag(e);
+        handle_flag(e, now);
         break;
       case EventKind::kCrash:
         crash_node(e.node);
         break;
       case EventKind::kPrune:
-        prune_link(e.gidx, e.node, e.dest, e.time);
+        prune_link(e.gidx, e.node, e.dest, now);
         break;
       case EventKind::kReattach:
-        reattach(e.gidx, e.node, e.dest, e.time);
+        reattach(e.gidx, e.node, e.dest, now);
         break;
     }
   }
-  assert(pool_.in_use() == 0 && "packet leak: refs left at quiesce");
-  assert(live_copies_ == 0);
+  // Checked in release builds too: a leak here means some copy was
+  // stranded in a queue nothing serves, and every count is suspect.
+  if (pool_.in_use() != 0 || live_copies_ != 0) {
+    throw std::logic_error("forwarder: packets left queued at quiesce");
+  }
 
   MultiGroupStats out;
   finalize(out);
@@ -823,13 +921,17 @@ void Forwarder::crash_node(std::uint32_t node) {
   assert(!dead_[node] && "node crashed twice");
   dead_[node] = 1;
   // Everything queued at the dead node's uplink evaporates with it.
-  for (Link& l : nodes_[node].links) {
-    while (const QueuedCopy* c = l.queue.peek_fifo()) {
-      const Packet& pkt = pool_.get(c->pkt);
-      ++groups_[pkt.stream].stats.copies_lost;
-      const QueuedCopy copy = l.queue.pop_fifo(pkt.bytes);
-      pool_.release(copy.pkt);
-      --live_copies_;
+  Node& n = nodes_[node];
+  while (n.fifo_head != kNil) {
+    const FifoCopy copy = pop_fifo(n);
+    lose_copy(copy.gidx, copy.pkt, copy.edge, n);
+  }
+  for (BinQueue& q : n.queues) {
+    while (const QueuedCopy* c = q.peek_fifo()) {
+      const std::uint32_t gidx =
+          static_cast<std::uint32_t>(pool_.get(c->pkt).stream);
+      const QueuedCopy copy = q.pop_fifo(groups_[gidx].packet_bytes);
+      lose_copy(gidx, copy.pkt, copy.edge, n);
     }
   }
   // The member can never deliver more than it had: freeze expectation
@@ -842,6 +944,16 @@ void Forwarder::crash_node(std::uint32_t node) {
            "script crashed a streamed group's source");
     g.members[it->second].frozen_delivered = g.members[it->second].delivered;
   }
+}
+
+void Forwarder::lose_copy(std::uint32_t gidx, PacketRef pkt,
+                          std::uint32_t edge, Node& n) {
+  Group& g = groups_[gidx];
+  ++g.stats.copies_lost;
+  n.depth_bytes -= g.packet_bytes;
+  edge_bytes_[edge] -= g.packet_bytes;
+  pool_.release(pkt);
+  --live_copies_;
 }
 
 void Forwarder::mark_detached(Group& g, std::uint32_t slot, bool detached) {
@@ -870,6 +982,7 @@ void Forwarder::prune_link(std::uint32_t gidx, std::uint32_t parent,
   // the dead child. Only future relays skip the edge.
   for (auto it = pn.links.begin(); it != pn.links.end(); ++it) {
     if (nodes_[pn.node].links[it->link].child == child) {
+      pn.pruned_links.push_back(*it);
       pn.links.erase(it);
       break;
     }
@@ -897,8 +1010,8 @@ void Forwarder::reattach(std::uint32_t gidx, std::uint32_t child,
   Node& n = nodes_[pn.node];
 
   // Find-or-create the node-level link (two groups sharing the new edge
-  // share its BinQueue, same as at construction). Appending keeps every
-  // stored link index valid. Latency argument order mirrors the ctor.
+  // share it, same as at construction). Appending keeps every stored
+  // link index valid. Latency argument order mirrors the ctor.
   std::uint32_t li = static_cast<std::uint32_t>(n.links.size());
   for (std::uint32_t i = 0; i < n.links.size(); ++i) {
     if (n.links[i].child == child) {
@@ -908,10 +1021,23 @@ void Forwarder::reattach(std::uint32_t gidx, std::uint32_t child,
   }
   if (li == n.links.size()) {
     n.links.push_back(
-        Link{child, latency_.latency(ids_[child], ids_[parent]), {}, 0, 0});
-    n.links[li].queue.reserve(1, 8);
+        Link{child, latency_.latency(ids_[child], ids_[parent]), 0, 0});
+    if (cfg_.mode != SchedMode::kShared) n.queues.emplace_back().reserve(1, 8);
   }
-  pn.links.push_back({li, cslot});
+  // A member edge pruned earlier over this link comes back with the
+  // copies still queued on it, as the per-group bin did.
+  GroupLink gl{li, cslot, 0};
+  const auto old = std::find_if(
+      pn.pruned_links.begin(), pn.pruned_links.end(),
+      [li](const GroupLink& p) { return p.link == li; });
+  if (old != pn.pruned_links.end()) {
+    gl.edge = old->edge;
+    pn.pruned_links.erase(old);
+  } else {
+    gl.edge = static_cast<std::uint32_t>(edge_bytes_.size());
+    edge_bytes_.push_back(0);
+  }
+  pn.links.push_back(gl);
   cn.parent_slot = pslot;
   cn.parent_latency_ms = latency_.latency(ids_[parent], ids_[child]);
   cn.pruned = false;
@@ -930,7 +1056,6 @@ void Forwarder::reattach(std::uint32_t gidx, std::uint32_t child,
   // contend with live traffic and relay onward through the child's
   // subtree like any other copy.
   std::uint64_t gap = 0;
-  Link& l = n.links[li];
   for (std::size_t w = 0; w < g.words_per_member; ++w) {
     std::uint64_t missing =
         g.delivered_bits[pslot * g.words_per_member + w] &
@@ -956,13 +1081,8 @@ void Forwarder::reattach(std::uint32_t gidx, std::uint32_t child,
       // Re-materialize the packet with its ORIGINAL emission time so
       // latency and any later zombie checks measure from the source
       // emit, not the repair.
-      const PacketRef pkt = pool_.alloc(
-          gidx, seq, static_cast<std::uint32_t>(g.traffic.packet_bytes),
-          g.emit_ms[seq]);
-      l.queue.push(gidx,
-                   QueuedCopy{pkt, child, next_order_++, now, false, cslot},
-                   static_cast<std::uint32_t>(g.traffic.packet_bytes));
-      ++live_copies_;
+      enqueue(pn.node, gidx, gl,
+              pool_.alloc(gidx, seq, g.packet_bytes, g.emit_ms[seq]));
       ++g.stats.repaired_copies;
       ++gap;
     }
@@ -1010,7 +1130,12 @@ void Forwarder::finalize(MultiGroupStats& out) {
   std::size_t rated_groups = 0;
   double goodput_kbit = 0;
   std::uint64_t packets = 0;
+  std::size_t deliveries = 0;
+  for (std::uint32_t gidx : active_) {
+    deliveries += groups_[gidx].latencies_ms.size();
+  }
   std::vector<double> all_latencies;
+  all_latencies.reserve(deliveries);
 
   for (std::uint32_t gidx : active_) {
     Group& g = groups_[gidx];
@@ -1039,7 +1164,7 @@ void Forwarder::finalize(MultiGroupStats& out) {
     const SessionStats& s = g.stats.session = session_stats(g);
 
     if (!g.latencies_ms.empty()) {
-      std::vector<double> sorted = g.latencies_ms;
+      std::vector<double>& sorted = g.latencies_ms;
       std::sort(sorted.begin(), sorted.end());
       double sum = 0;
       for (double v : sorted) sum += v;
@@ -1073,8 +1198,9 @@ void Forwarder::finalize(MultiGroupStats& out) {
           : all_sum * all_sum /
                 (static_cast<double>(rated_groups) * all_sumsq);
   if (!all_latencies.empty()) {
-    std::sort(all_latencies.begin(), all_latencies.end());
     const std::size_t idx = (all_latencies.size() * 99 + 99) / 100 - 1;
+    std::nth_element(all_latencies.begin(), all_latencies.begin() + idx,
+                     all_latencies.end());
     out.p99_latency_ms = all_latencies[idx];
   }
   totals_.pool_peak_in_use = pool_.peak_in_use();

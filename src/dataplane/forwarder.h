@@ -4,17 +4,18 @@
 // node forwards through one FIFO uplink. This forwarder runs that model
 // packet by packet over the recorded trees of any number of groups
 // (DESIGN.md §11-§12). Every node in the union of the trees owns one
-// uplink; each of its outbound links carries one BinQueue whose bins
-// are keyed by group, so copies of different groups contend in the same
-// queues. Three service modes:
+// uplink, shared by every group that relays through it. Three service
+// modes:
 //
-//   * kShared — one FIFO transmitter per node serves the global FIFO
-//     head across every group's bins at the full uplink rate B_x: the
-//     paper's uplink verbatim. Its service order and transmit arithmetic
-//     (done = start + tx, arrival = done + link latency) must stay
-//     bit-exact, because single-group runs are pinned field for field
-//     against committed numbers and a golden file.
-//   * kBackpressure — the same transmitter in the IRON/GNAT mold:
+//   * kShared — one FIFO transmitter per node at the full uplink rate
+//     B_x: the paper's uplink verbatim. The node's copies of every group
+//     wait in one FIFO in enqueue order, so service pops its head in
+//     O(1). Its service order and transmit arithmetic (done = start +
+//     tx, arrival = done + link latency) must stay bit-exact, because
+//     runs are pinned field for field against committed numbers and
+//     golden files.
+//   * kBackpressure — the same transmitter in the IRON/GNAT mold, over
+//     one BinQueue per outbound link with one bin per group:
 //       - service deviates from the FIFO head to the steepest positive
 //         depth gradient (local link backlog minus the child's
 //         advertised uplink backlog), but only past a congestion gate
@@ -32,9 +33,15 @@
 //         a zombie (IRON's term for expired-but-accounted packets).
 //   * kLedgerShares — each (node, group) pair gets a virtual
 //     transmitter at its ledger share rate, serving only that group's
-//     bins: a group's schedule depends only on its own traffic and its
-//     allocation, never on what other groups queue. A sole ledger
-//     debtor gets the full B_x, so one group is again the kShared plane.
+//     bins of the same per-link BinQueues: a group's schedule depends
+//     only on its own traffic and its allocation, never on what other
+//     groups queue. A sole ledger debtor gets the full B_x, so one group
+//     is again the kShared plane.
+//
+// Every mode keeps running byte counts of what is queued per node and
+// per member edge, so backlog figures are O(1) reads. Events wait in a
+// 4-ary heap of 16-byte (time, sequence | slot) integer keys over a slab
+// of payloads; same-instant events pop in push order.
 //
 // Source admission control is per group in every mode: a (node, group)
 // backlog above the high watermark raises that group's congestion flag
@@ -226,8 +233,8 @@ class Forwarder {
  public:
   /// Builds the per-node link structure from the groups' trees. Nodes
   /// are indexed by ascending id (deterministic across platforms); two
-  /// groups that share an edge share its BinQueue. The latency model
-  /// must outlive the forwarder; the run is single-shot.
+  /// groups that share an edge share its link. The latency model must
+  /// outlive the forwarder; the run is single-shot.
   Forwarder(const std::vector<GroupSpec>& groups, const LatencyModel& latency,
             ForwarderConfig cfg, telemetry::Sink sink = {});
 
@@ -246,7 +253,11 @@ class Forwarder {
   /// stop delivering, pruned edges stop forwarding, and reattached
   /// children backfill their delivery-bitmap gap from the new parent
   /// (pull repair, zombie deadline permitting). Throws
-  /// std::invalid_argument for a script under kBackpressure.
+  /// std::invalid_argument for a script under kBackpressure or one that
+  /// names a node in no tree, and std::logic_error, in every build, when
+  /// a depth report finds no edge from a member's parent to it (a spec
+  /// whose parent and children lists disagree) or packets are left
+  /// queued at quiesce.
   MultiGroupStats run(const std::vector<GroupTraffic>& traffic,
                       const FailoverScript& script = {});
 
@@ -258,10 +269,11 @@ class Forwarder {
   void set_group_id(std::uint32_t gidx, GroupId id) { groups_[gidx].id = id; }
 
  private:
+  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+
   struct Link {
     std::uint32_t child = 0;  // dense node index
     SimTime latency_ms = 0;
-    BinQueue queue;  // bins keyed by group index
     // kBackpressure depth-gradient accounting: the child's last
     // advertised uplink backlog, plus a local correction for bytes
     // delegated to it since that report.
@@ -269,9 +281,29 @@ class Forwarder {
     double delegated_since_bytes = 0;
   };
 
+  /// One kShared copy in its node's FIFO uplink queue, carrying what its
+  /// transmission needs, so service reads neither links nor the pool.
+  /// Queued copies of every node live in one slab; `next` threads a
+  /// node's FIFO (or the slab's free list).
+  struct FifoCopy {
+    SimTime latency_ms = 0;  // the link's propagation delay
+    PacketRef pkt = kNullPacket;
+    std::uint32_t dest = 0;  // dense node index
+    std::uint32_t slot = 0;  // dest's member slot
+    std::uint32_t gidx = 0;
+    std::uint32_t edge = 0;  // index into edge_bytes_
+    std::uint32_t next = kNil;
+  };
+
   struct Node {
     double kbps = 0;          // full uplink B_x
-    std::vector<Link> links;  // ascending child id
+    std::vector<Link> links;  // ascending child id; reattaches append
+    /// kBackpressure / kLedgerShares: one BinQueue per link, bins keyed
+    /// by group index. Empty under kShared, which queues in the FIFO.
+    std::vector<BinQueue> queues;
+    std::uint64_t depth_bytes = 0;  // every queued byte, relay queue too
+    std::uint32_t fifo_head = kNil;  // kShared FIFO, oldest copy first
+    std::uint32_t fifo_tail = kNil;
     bool tx_busy = false;     // kShared / kBackpressure transmitter
   };
 
@@ -279,6 +311,7 @@ class Forwarder {
   struct GroupLink {
     std::uint32_t link = 0;  // index into Node::links
     std::uint32_t slot = 0;  // the child's member slot
+    std::uint32_t edge = 0;  // index into edge_bytes_
   };
 
   /// Per-group view of one member node.
@@ -287,6 +320,10 @@ class Forwarder {
     std::uint32_t parent_slot = 0;     // group-local index; self for source
     SimTime parent_latency_ms = 0;
     std::vector<GroupLink> links;      // ascending child id
+    /// Edges pruned by failover. Their queued copies still drain (the
+    /// kLedgerShares transmitter serves them), and a reattach over the
+    /// same link takes its edge back.
+    std::vector<GroupLink> pruned_links;
     double rate_kbps = 0;  // serving rate: B_x, or the ledger share
     bool vtx_busy = false;             // kLedgerShares transmitter
     // Per-group admission state (flags climb this group's tree).
@@ -309,6 +346,7 @@ class Forwarder {
   struct Group {
     GroupId id = 0;
     GroupTraffic traffic;
+    std::uint32_t packet_bytes = 0;  // every copy of the group's packets
     double packet_kbit = 0;
     SimTime gen_interval = 0;
     std::uint32_t source_slot = 0;
@@ -340,24 +378,26 @@ class Forwarder {
     kReattach,        // node (child) re-hangs under dest (parent) in gidx
   };
 
+  /// An event's payload, parked in the event slab while its key waits
+  /// in the heap.
   struct Event {
-    SimTime time = 0;
-    std::uint64_t seq = 0;
-    EventKind kind = EventKind::kSourceEmit;
+    std::uint64_t aux = 0;
     std::uint32_t node = 0;
     std::uint32_t dest = 0;  // member slot / copy dest / peer node
     std::uint32_t gidx = 0;
     PacketRef pkt = kNullPacket;
-    std::uint64_t aux = 0;
+    EventKind kind = EventKind::kSourceEmit;
   };
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
+  /// Heap entry: the event time, mapped to an integer of the same
+  /// order, in the high 64 bits; below it the push sequence number over
+  /// the slab slot in the low kSlotBits. One unsigned compare orders by
+  /// (time, push order), so same-instant events pop in push order.
+  using EventKey = unsigned __int128;
+  static constexpr unsigned kSlotBits = 24;
 
-  void push_event(Event e);
+  void push_event(SimTime at, const Event& e);
+  EventKey pop_event();
+  void sift_up(std::size_t i, EventKey key);
   double node_backlog_ms(std::uint32_t node) const;
   double group_backlog_ms(std::uint32_t gidx, const GroupNode& gn) const;
   bool holds(const Group& g, std::uint32_t slot, std::uint32_t seq) const;
@@ -365,6 +405,16 @@ class Forwarder {
   std::uint32_t link_index(const Node& n, std::uint32_t child) const;
   bool admission_on() const { return cfg_.admission_high_ms > 0; }
   bool active() const { return unemitted_ > 0 || live_copies_ > 0; }
+
+  /// Queues one copy of `pkt` on member edge `gl` of node `node`; the
+  /// caller hands the copy one packet reference.
+  void enqueue(std::uint32_t node, std::uint32_t gidx, const GroupLink& gl,
+               PacketRef pkt);
+  /// Unlinks the head of `n`'s kShared FIFO (non-empty).
+  FifoCopy pop_fifo(Node& n);
+  /// Drops a queued copy at a crash: counted lost, reference released.
+  void lose_copy(std::uint32_t gidx, PacketRef pkt, std::uint32_t edge,
+                 Node& n);
 
   void crash_node(std::uint32_t node);
   void prune_link(std::uint32_t gidx, std::uint32_t parent,
@@ -380,12 +430,19 @@ class Forwarder {
                          PacketRef pkt, SimTime now);
   void start_service(std::uint32_t gidx, std::uint32_t slot, SimTime now);
   void serve_node(std::uint32_t node, SimTime now);
+  void serve_fifo(std::uint32_t node, SimTime now);
+  void serve_pressure(std::uint32_t node, SimTime now);
   void serve_group(std::uint32_t gidx, std::uint32_t slot, SimTime now);
-  void handle_arrival(const Event& e);
-  void handle_delegate(const Event& e);
-  void handle_depth_report(const Event& e);
-  void handle_depth_arrive(const Event& e);
-  void handle_flag(const Event& e);
+  /// Starts one transmission on `node`'s uplink: done = now + tx,
+  /// arrival = done + link latency.
+  void transmit(std::uint32_t node, std::uint32_t gidx, PacketRef pkt,
+                std::uint32_t dest, std::uint32_t slot, SimTime latency_ms,
+                double backlog_ms, SimTime now);
+  void handle_arrival(const Event& e, SimTime now);
+  void handle_delegate(const Event& e, SimTime now);
+  void handle_depth_report(const Event& e, SimTime now);
+  void handle_depth_arrive(const Event& e, SimTime now);
+  void handle_flag(const Event& e, SimTime now);
   void update_congestion(std::uint32_t gidx, std::uint32_t slot,
                          SimTime now);
   void maybe_resume(std::uint32_t gidx, SimTime now);
@@ -405,9 +462,16 @@ class Forwarder {
   std::vector<Group> groups_;
   std::vector<std::uint32_t> active_;  // streamed groups, traffic order
   FlatMap<GroupId, std::uint32_t> group_index_;
+  /// Bytes queued per member edge (GroupLink::edge): a group's backlog
+  /// at a node without a per-group bin scan.
+  std::vector<std::uint64_t> edge_bytes_;
 
   PacketPool pool_;
-  std::vector<Event> heap_;
+  std::vector<FifoCopy> fifo_;  // kShared queued copies, every node
+  std::uint32_t fifo_free_ = kNil;
+  std::vector<EventKey> heap_;  // 4-ary min-heap
+  std::vector<Event> events_;   // slab, indexed by EventKey slot
+  std::vector<std::uint32_t> free_events_;
   std::uint64_t next_event_seq_ = 0;
   std::uint64_t next_order_ = 0;
   std::uint64_t live_copies_ = 0;

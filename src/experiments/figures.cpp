@@ -33,7 +33,7 @@ FigureScale parse_scale(int argc, char** argv, FigureScale defaults) {
   flags.add("sources", "multicast trees per data point", &s.sources);
   flags.add("seed", "master seed", &s.seed);
   flags.add("bits", "ring identifier bits", &s.ring_bits);
-  flags.add("jobs", "parallel sweep cells (0 = hardware)", &s.jobs);
+  flags.add("jobs", "parallel sweep cells (0 = usable cores)", &s.jobs);
   std::string error;
   if (!flags.parse(argc, argv, 1, &error)) {
     std::fprintf(stderr, "%s: %s\nflags:\n%s", argv[0], error.c_str(),

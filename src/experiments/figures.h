@@ -25,7 +25,7 @@ struct FigureScale {
   std::uint64_t seed = 7;
   /// Sweep parallelism: each figure data point is an independent cell
   /// run on a runtime::SweepPool; the row order (and every byte of the
-  /// output) is identical for any jobs value. 0 = hardware concurrency.
+  /// output) is identical for any jobs value. 0 = usable cores.
   std::size_t jobs = 1;
 };
 

@@ -137,7 +137,7 @@ struct SessionChaosCell {
   workload::WorkloadPlan plan;
 };
 
-/// Runs cells on a runtime::SweepPool (0 jobs = hardware concurrency);
+/// Runs cells on a runtime::SweepPool (0 jobs = usable cores);
 /// reports — and the concatenation of their render() outputs — are
 /// byte-identical to a serial jobs = 1 sweep.
 std::vector<SessionChaosReport> run_session_chaos_cells(

@@ -77,7 +77,7 @@ struct CellSpec {
 exp::AveragedRun run_cell(const CellSpec& cell);
 
 struct RunOptions {
-  std::size_t jobs = 1;  // 0 = hardware concurrency
+  std::size_t jobs = 1;  // 0 = usable cores
 };
 
 /// Executes a cell grid; results land in spec order regardless of jobs.

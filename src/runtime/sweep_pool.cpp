@@ -1,5 +1,7 @@
 #include "runtime/sweep_pool.h"
 
+#include <sched.h>
+
 #include <atomic>
 #include <deque>
 #include <exception>
@@ -11,10 +13,19 @@
 
 namespace cam::runtime {
 
-std::size_t effective_jobs(std::size_t requested) {
-  if (requested != 0) return requested;
-  unsigned hw = std::thread::hardware_concurrency();
+std::size_t usable_cores() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) return static_cast<std::size_t>(n);
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
+}
+
+std::size_t effective_jobs(std::size_t requested) {
+  return requested != 0 ? requested : usable_cores();
 }
 
 SweepPool::SweepPool(std::size_t jobs) : jobs_(effective_jobs(jobs)) {}

@@ -25,8 +25,13 @@
 
 namespace cam::runtime {
 
-/// Resolves a --jobs request: 0 means "one worker per hardware thread"
-/// (at least 1); anything else is taken literally.
+/// The cores this process may run on: its affinity mask
+/// (sched_getaffinity), which `taskset` or a container narrows, not
+/// the machine's hardware thread count. At least 1.
+std::size_t usable_cores();
+
+/// Resolves a --jobs request: 0 means "one worker per usable core";
+/// anything else is taken literally.
 std::size_t effective_jobs(std::size_t requested);
 
 /// Fixed-size work-stealing pool over an index space [0, cells).

@@ -1,23 +1,37 @@
-// Allocation-count probe for the data plane: proves the steady-state
-// packet cycle — pool alloc, bin enqueue per child, pressure/FIFO
-// dequeue, release — performs ZERO heap allocations per packet.
+// Allocation-count probes for the data plane.
 //
-// A standalone binary (not part of cam_tests) because it replaces global
-// operator new to count allocations. The workload is the forwarder's hot
+// Default mode proves the steady-state packet cycle — pool alloc, bin
+// enqueue per child, pressure/FIFO dequeue, release — performs ZERO
+// heap allocations per packet. The workload is the forwarder's hot
 // shape without the event engine: a reserved PacketPool feeding a fan of
 // reserved BinQueues across several streams, with queues kept partially
 // full so rings wrap and the FlatMap stream index is exercised on every
 // push. After reserve(), the measured 500k-packet churn must allocate
-// nothing — exactly allocation-free, not amortized-free (the acceptance
-// bar in ISSUE.md: 0 allocs/packet at steady state).
+// nothing — exactly allocation-free, not amortized-free.
 //
-// Exits 0 on success, 1 with a diagnostic on any allocation per packet.
+// `forwarder` mode counts every allocation of one complete multi-group
+// kShared Forwarder::run — 400 overlapping groups of 2..64 members, 12
+// packets each, with mid-stream crashes, prunes and gap-repairing
+// reattaches — after construction, and requires at most 0.1 per copy
+// sent: per-run setup (bitmaps, latency vectors, slabs) amortizes, the
+// per-copy path allocates nothing.
+//
+// A standalone binary (not part of cam_tests) because it replaces global
+// operator new to count allocations. Exits 0 on success, 1 with a
+// diagnostic otherwise.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <new>
+#include <set>
+#include <vector>
 
 #include "dataplane/bin_queue.h"
+#include "dataplane/forwarder.h"
 #include "dataplane/packet_pool.h"
+#include "sim/latency.h"
+#include "util/rng.h"
 
 namespace {
 bool g_counting = false;
@@ -49,7 +63,9 @@ constexpr std::uint32_t kBytes = 1250;  // 10 kbit, the bench packet size
 
 }  // namespace
 
-int main() {
+namespace {
+
+int steady_state_cycle() {
   PacketPool pool;
   BinQueue queues[kLinks];
 
@@ -123,4 +139,154 @@ int main() {
               static_cast<unsigned long long>(kMeasured), kLinks,
               static_cast<unsigned long long>(pool.recycled()));
   return 0;
+}
+
+namespace fwd = cam::dataplane;
+
+/// Random overlapping trees over a shared node pool (each member hangs
+/// under a random earlier member with spare fan-out), plus a failover
+/// script: interior non-source victims crash, every watcher prunes its
+/// edge, and each orphan re-hangs under the victim's parent.
+struct World {
+  std::vector<fwd::GroupSpec> specs;
+  std::vector<fwd::GroupTraffic> traffic;
+  fwd::FailoverScript script;
+};
+
+World make_world() {
+  constexpr std::size_t kPool = 4000, kGroups = 400, kVictims = 6;
+  cam::Rng rng(0xa110c);
+  std::vector<cam::Id> pool;
+  std::set<cam::Id> seen;
+  while (pool.size() < kPool) {
+    const cam::Id id = 1 + rng.next_below(1u << 24);
+    if (seen.insert(id).second) pool.push_back(id);
+  }
+  World w;
+  std::set<cam::Id> sources;
+  for (std::size_t gi = 0; gi < kGroups; ++gi) {
+    const std::size_t size = 2 + rng.next_below(63);
+    std::vector<cam::Id> picks = pool;
+    for (std::size_t i = 0; i < size; ++i) {
+      std::swap(picks[i], picks[i + rng.next_below(picks.size() - i)]);
+    }
+    picks.resize(size);
+    std::vector<std::uint32_t> kids(size, 0);
+    fwd::GroupSpec spec;
+    spec.id = gi + 1;
+    spec.source = picks[0];
+    spec.members.push_back({picks[0], picks[0], {}, 0});
+    for (std::size_t i = 1; i < size; ++i) {
+      std::size_t p;
+      do {
+        p = rng.next_below(i);
+      } while (kids[p] >= 6);
+      ++kids[p];
+      spec.members.push_back({picks[i], picks[p], {}, 0});
+    }
+    std::sort(spec.members.begin(), spec.members.end(),
+              [](const auto& a, const auto& b) { return a.id < b.id; });
+    for (const auto& m : spec.members) {
+      if (m.id == spec.source) continue;
+      for (auto& p : spec.members) {
+        if (p.id == m.parent) p.children.push_back(m.id);
+      }
+    }
+    sources.insert(spec.source);
+    w.specs.push_back(std::move(spec));
+    fwd::GroupTraffic t;
+    t.group = gi + 1;
+    t.num_packets = 12;
+    w.traffic.push_back(t);
+  }
+  std::set<cam::Id> victims;
+  while (victims.size() < kVictims) {
+    const fwd::GroupSpec& s = w.specs[rng.next_below(w.specs.size())];
+    const auto& m = s.members[rng.next_below(s.members.size())];
+    if (m.children.empty() || sources.count(m.id) || victims.count(m.id)) {
+      continue;
+    }
+    bool adjacent = false;
+    for (const fwd::GroupSpec& g : w.specs) {
+      for (const auto& v : g.members) {
+        if (v.id != g.source &&
+            ((v.id == m.id && victims.count(v.parent)) ||
+             (v.parent == m.id && victims.count(v.id)))) {
+          adjacent = true;
+        }
+      }
+    }
+    if (adjacent) continue;
+    const double t_crash = 40.0 + 20.0 * static_cast<double>(victims.size());
+    victims.insert(m.id);
+    w.script.crashes.push_back({t_crash, m.id});
+    for (const fwd::GroupSpec& g : w.specs) {
+      for (const auto& v : g.members) {
+        if (v.id != m.id) continue;
+        w.script.prunes.push_back({t_crash + 8.0, g.id, v.parent, v.id});
+        for (cam::Id c : v.children) {
+          w.script.prunes.push_back({t_crash + 8.0, g.id, v.id, c});
+          w.script.reattaches.push_back({t_crash + 12.0, g.id, c, v.parent});
+        }
+      }
+    }
+  }
+  return w;
+}
+
+int forwarder_run() {
+  const World w = make_world();
+  const cam::UniformLatency latency(2.0, 9.0, 0x5eedULL);
+  fwd::Forwarder forwarder(w.specs, latency,
+                           fwd::ForwarderConfig{fwd::SchedMode::kShared});
+  forwarder.resolve_uplinks(
+      [](cam::Id id) { return 400.0 + static_cast<double>(id % 601); });
+
+  g_allocs = 0;
+  g_counting = true;
+  const fwd::MultiGroupStats stats = forwarder.run(w.traffic, w.script);
+  g_counting = false;
+
+  std::uint64_t delivered = 0, expected = 0, dups = 0, reattaches = 0;
+  for (const fwd::GroupRunStats& g : stats.groups) {
+    delivered += g.copies_delivered;
+    expected += g.copies_expected;
+    dups += g.duplicate_deliveries;
+    reattaches += g.reattaches;
+  }
+  if (dups != 0 || delivered != expected || reattaches == 0) {
+    std::fprintf(stderr,
+                 "forwarder run broke its books: delivered %llu of %llu, "
+                 "%llu duplicates, %llu reattaches\n",
+                 static_cast<unsigned long long>(delivered),
+                 static_cast<unsigned long long>(expected),
+                 static_cast<unsigned long long>(dups),
+                 static_cast<unsigned long long>(reattaches));
+    return 1;
+  }
+  const double per_copy = static_cast<double>(g_allocs) /
+                          static_cast<double>(stats.copies_sent);
+  if (per_copy > 0.1) {
+    std::fprintf(stderr,
+                 "forwarder run allocated %llu times for %llu copies "
+                 "(%.4f/copy, budget 0.1) — data-plane hot path "
+                 "regressed\n",
+                 g_allocs, static_cast<unsigned long long>(stats.copies_sent),
+                 per_copy);
+    return 1;
+  }
+  std::printf("ok: forwarder run, %llu copies over %zu groups, %llu "
+              "allocations (%.4f/copy)\n",
+              static_cast<unsigned long long>(stats.copies_sent),
+              stats.groups.size(), g_allocs, per_copy);
+  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc > 1 && std::strcmp(argv[1], "forwarder") == 0) {
+    return forwarder_run();
+  }
+  return steady_state_cycle();
 }

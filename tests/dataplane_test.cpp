@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "camchord/oracle.h"
@@ -17,10 +18,15 @@ namespace cam {
 namespace {
 
 using dataplane::BinQueue;
+using dataplane::FailoverScript;
+using dataplane::Forwarder;
 using dataplane::ForwarderConfig;
 using dataplane::ForwardStats;
+using dataplane::GroupRunStats;
+using dataplane::GroupSpec;
 using dataplane::GroupTraffic;
 using dataplane::kNullPacket;
+using dataplane::MultiGroupStats;
 using dataplane::PacketPool;
 using dataplane::PacketRef;
 using dataplane::QueuedCopy;
@@ -350,6 +356,73 @@ TEST(DataplaneForwarder, PoolStaysWithinReserveAndQuiesces) {
   EXPECT_EQ(s.pool_allocs, traffic.num_packets);
   EXPECT_EQ(s.pool_recycled, traffic.num_packets);  // all returned
   EXPECT_LE(s.pool_peak_in_use, 2 * tree.size() + 64);
+}
+
+// ------------------------------------------- failover and misuse checks --
+
+/// Group 5: source 1 -> relay 2 -> {3, 4}. The relay's slow uplink backs
+/// copies up on both child edges.
+GroupSpec relay_group() {
+  GroupSpec spec;
+  spec.id = 5;
+  spec.source = 1;
+  spec.members = {{1, 1, {2}, 0}, {2, 1, {3, 4}, 0}, {3, 2, {}, 0},
+                  {4, 2, {}, 0}};
+  return spec;
+}
+
+MultiGroupStats run_relay_group(SchedMode mode, const FailoverScript& script) {
+  ConstantLatency lat(5.0);
+  Forwarder f({relay_group()}, lat, ForwarderConfig{mode});
+  f.resolve_uplinks([](Id id) { return id == 2 ? 100.0 : 1000.0; });
+  GroupTraffic traffic;
+  traffic.group = 5;
+  traffic.num_packets = 16;
+  return f.run({traffic}, script);
+}
+
+// Copies queued on an edge before its prune still drain and evaporate
+// at the dead child — under the per-group transmitters too, which once
+// stopped serving the pruned edge and stranded them. A sole ledger
+// debtor runs the kShared plane, so both modes lose the same copies.
+TEST(DataplaneForwarder, LedgerSharesDrainPrunedEdges) {
+  FailoverScript script;
+  script.crashes.push_back({50.0, 3});
+  script.prunes.push_back({60.0, 5, 2, 3});
+  const MultiGroupStats ledger =
+      run_relay_group(SchedMode::kLedgerShares, script);
+  const MultiGroupStats shared = run_relay_group(SchedMode::kShared, script);
+  ASSERT_EQ(ledger.groups.size(), 1u);
+  const GroupRunStats& g = ledger.groups[0];
+  EXPECT_EQ(g.duplicate_deliveries, 0u);
+  EXPECT_EQ(g.copies_delivered, g.copies_expected);
+  EXPECT_EQ(g.copies_delivered, 32u);  // relay and the surviving leaf
+  EXPECT_GT(g.copies_lost, 0u);
+  EXPECT_EQ(g.copies_lost, shared.groups[0].copies_lost);
+  EXPECT_EQ(ledger.copies_sent, shared.copies_sent);
+  EXPECT_EQ(ledger.completion_ms, shared.completion_ms);
+}
+
+// A member whose parent does not list it as a child leaves the parent
+// no edge to file its depth report under. Release builds once filed it
+// under link 0; every build now throws.
+TEST(DataplaneForwarder, DepthReportWithoutParentEdgeThrows) {
+  GroupSpec spec = relay_group();
+  spec.members[1].children = {4};  // relay 2 forgets child 3
+  ConstantLatency lat(5.0);
+  Forwarder f({spec}, lat, ForwarderConfig{SchedMode::kBackpressure});
+  f.resolve_uplinks([](Id) { return 100.0; });
+  GroupTraffic traffic;
+  traffic.group = 5;
+  traffic.num_packets = 16;
+  EXPECT_THROW(f.run({traffic}), std::logic_error);
+}
+
+TEST(DataplaneForwarder, ScriptNamingUnknownNodeThrows) {
+  FailoverScript script;
+  script.crashes.push_back({50.0, 99});
+  EXPECT_THROW(run_relay_group(SchedMode::kShared, script),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------- sweep cells --

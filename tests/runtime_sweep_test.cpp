@@ -4,6 +4,7 @@
 #include "runtime/sweep_pool.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <condition_variable>
@@ -17,9 +18,14 @@
 namespace cam::runtime {
 namespace {
 
-TEST(EffectiveJobs, ZeroMeansHardwareConcurrency) {
-  std::size_t hw = std::thread::hardware_concurrency();
-  EXPECT_EQ(effective_jobs(0), hw == 0 ? 1 : hw);
+TEST(EffectiveJobs, ZeroMeansUsableCores) {
+  // The affinity mask, which taskset narrows, never the machine's
+  // hardware thread count.
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof set, &set), 0);
+  EXPECT_EQ(usable_cores(), static_cast<std::size_t>(CPU_COUNT(&set)));
+  EXPECT_EQ(effective_jobs(0), usable_cores());
   EXPECT_EQ(effective_jobs(1), 1u);
   EXPECT_EQ(effective_jobs(7), 7u);
 }

@@ -7,8 +7,8 @@
 //
 //   --seeds=A..B   run one cell per seed in [A..B] (sweep mode) instead
 //                  of the single --seed run
-//   --jobs=N       execute sweep cells on N worker threads (0 = hardware
-//                  concurrency); output is byte-identical for any N
+//   --jobs=N       execute sweep cells on N worker threads (0 = usable
+//                  cores); output is byte-identical for any N
 //   --out=FILE     redirect stdout to FILE
 //
 // Subcommands:
@@ -214,7 +214,7 @@ runtime::FlagSet make_flags(Args& a) {
   f.add("packets", "stream packets", &a.packets);
   f.add("seed", "master seed (single run)", &a.seed);
   f.add("seeds", "seed sweep A..B (one cell per seed)", &a.seeds);
-  f.add("jobs", "parallel sweep workers (0 = hardware)", &a.jobs);
+  f.add("jobs", "parallel sweep workers (0 = usable cores)", &a.jobs);
   f.add("out", "redirect stdout to FILE", &a.out_file);
   f.add_switch("histogram", "print the depth histogram", &a.histogram);
   f.add("loss", "datagram loss probability (async)", &a.loss);
